@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import tree_sum
 from .gaussian_calculus import (
     GaussianSymbol,
     PointLike,
@@ -30,7 +29,7 @@ from .gaussian_calculus import (
     as_point,
     berezin_transform_closed,
 )
-from .quadrature import QuadratureRule1D, gauss_hermite, integrate
+from .quadrature import QuadratureRule1D, gauss_hermite, integrate, tree_sum
 from .semiclassics import PolynomialSymbol
 
 __all__ = [
@@ -117,32 +116,28 @@ def trace(g: GaussianSymbol, q: QuantParams) -> float:
     return g.amplitude * _half_power(q.alpha / (q.alpha + g.compression), g.dim)
 
 
-def _trace_pair_numeric(lam: float, alpha: float, order: int) -> float:
-    # one complex coordinate: (alpha/pi) * int exp(-lam*x^2 - alpha*(x^2+y^2)) dx dy
-    rules = [gauss_hermite(order)] * 2
-    value = integrate(lambda x, y: np.exp(-lam * x * x) * np.ones_like(y), rules, scale=alpha)
-    return alpha / math.pi * float(value)
-
-
 def trace_numeric(g: GaussianSymbol, q: QuantParams, order: int = 80) -> float:
     """Quadrature evaluation of the trace integral (oracle for `trace`).
 
-    Full tensor grids for n <= 2; for n > 2 the integrand factorizes per
-    complex coordinate, so the value is the one-coordinate quadrature raised
-    to the n-th power (still a purely numeric route).
+    The integrand factorizes per complex coordinate, so the value is the
+    one-coordinate quadrature (alpha/pi) * int exp(-lam*x^2 - alpha*(x^2+y^2)) dx dy
+    raised to the n-th power (still a purely numeric route).
     """
-    if g.dim <= 2:
-        rules = [gauss_hermite(order)] * (2 * g.dim)
-        if g.dim == 1:
-            fn = lambda x, y: np.exp(-g.compression * x * x) * np.ones_like(y)
-        else:
-            fn = lambda x1, y1, x2, y2: np.exp(
-                -g.compression * (x1 * x1 + x2 * x2)
-            ) * np.ones_like(y1 + y2)
-        value = integrate(fn, rules, scale=q.alpha)
-        return g.amplitude * (q.alpha / math.pi) ** g.dim * float(value)
-    pair = _trace_pair_numeric(g.compression, q.alpha, order)
+    rules = [gauss_hermite(order)] * 2
+    lam = g.compression
+    value = integrate(lambda x, y: np.exp(-lam * x * x) * np.ones_like(y), rules, scale=q.alpha)
+    pair = q.alpha / math.pi * float(value)
     return g.amplitude * pair**g.dim
+
+
+def _squared_transform(lam: float, q: QuantParams, dim: int) -> GaussianSymbol:
+    # square of the transformed unit-amplitude Gaussian of compression lam
+    transformed = berezin_transform_closed(GaussianSymbol(dim=dim, amplitude=1.0, compression=lam), q)
+    return GaussianSymbol(
+        dim=dim,
+        amplitude=transformed.amplitude**2,
+        compression=2.0 * transformed.compression,
+    )
 
 
 def purity_index(lam: float, q: QuantParams, dim: int = 1) -> TraceReport:
@@ -154,26 +149,14 @@ def purity_index(lam: float, q: QuantParams, dim: int = 1) -> TraceReport:
     lam = float(lam)
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"compression must be positive, got {lam!r}")
-    transformed = berezin_transform_closed(GaussianSymbol(dim=dim, amplitude=1.0, compression=lam), q)
-    squared = GaussianSymbol(
-        dim=dim,
-        amplitude=transformed.amplitude**2,
-        compression=2.0 * transformed.compression,
-    )
-    raw = trace(squared, q)
+    raw = trace(_squared_transform(lam, q, dim), q)
     normalized = _half_power(q.alpha / (q.alpha + 3.0 * lam), dim)
     return TraceReport(raw_trace=raw, normalized_trace=normalized, alpha=q.alpha, lam=lam, dim=dim)
 
 
 def purity_raw_numeric(lam: float, q: QuantParams, dim: int = 1, order: int = 80) -> float:
-    """Quadrature cross-check of the raw squared-transform trace (n <= 2 tensor)."""
-    transformed = berezin_transform_closed(GaussianSymbol(dim=dim, amplitude=1.0, compression=lam), q)
-    squared = GaussianSymbol(
-        dim=dim,
-        amplitude=transformed.amplitude**2,
-        compression=2.0 * transformed.compression,
-    )
-    return trace_numeric(squared, q, order=order)
+    """Quadrature cross-check of the raw squared-transform trace."""
+    return trace_numeric(_squared_transform(lam, q, dim), q, order=order)
 
 
 def reproducing_residual(

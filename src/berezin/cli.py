@@ -167,10 +167,13 @@ def cmd_transform(args) -> int:
         numeric = quadrature.berezin_transform_numeric(symbol, point, q, order=args.numeric)
         reference = evaluate(closed, point)
         deviation = abs(numeric - reference)
+        # a closed value that underflows to 0 leaves only the absolute deviation
+        relative_deviation = deviation / abs(reference) if reference else deviation
         results["numeric_value"] = _complex_json(numeric)
         results["closed_value_at_point"] = reference
         results["deviation"] = deviation
-        if deviation > TRANSFORM_DEVIATION_LIMIT:
+        results["relative_deviation"] = relative_deviation
+        if relative_deviation > TRANSFORM_DEVIATION_LIMIT:
             exit_code = EXIT_CONTRACT
     record = RunRecord(
         command="transform",

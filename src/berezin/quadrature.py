@@ -8,13 +8,19 @@ An order-m rule integrates t^k * exp(-t^2) exactly for k <= 2m-1.
 
 `berezin_transform_numeric` evaluates the smoothing-transform integral
 
-    (1/K(z,z)) * int f(w) |K(z,w)|^2 rho(w) dA(w),
-    rho(w) = (alpha/pi)^n exp(-alpha*|w|^2),  K(z,w) = exp(alpha * z . conj(w)),
+    (1/K(z,z)) * int f(w) |K(z,w)|^2 rho(w) dA(w)
+        = (alpha/pi)^n * int f(w) exp(-alpha*|w - z|^2) dA(w),
+    rho(w) = (alpha/pi)^n exp(-alpha*|w|^2),  K(z,w) = exp(alpha * z . conj(w)).
 
-by tensor quadrature over R^(2n) after absorbing exp(-alpha*|w|^2) into the
-rule through the change of variables t = sqrt(alpha) * coordinate.  It is an
-oracle: it never consults the closed-form width map.  A seeded Monte-Carlo
-estimator provides a second, statistically independent route.
+Its kernel is a Gaussian centred at z.  The change of variables
+w_j = z_j + (s_j + i*t_j)/sqrt(alpha) turns that kernel into the
+Gauss-Hermite weight exp(-|s|^2 - |t|^2), so the rule sits where the
+integrand lives for every z and alpha.  A GaussianSymbol depends only on
+Re w, so its sum factors into 2n one-dimensional sums of m terms; a generic
+callable is summed on the centred tensor grid by `integrate`.  The oracle
+never consults the closed-form width map.  A seeded Monte-Carlo estimator
+samples the same centred Gaussian and provides a second, statistically
+independent route.
 
 All reductions use a fixed deterministic order (pairwise folding), so
 results are reproducible run-to-run.
@@ -29,8 +35,6 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from . import _kernels
-from ._kernels import tree_sum
 from .gaussian_calculus import GaussianSymbol, PointLike, QuantParams, as_point
 
 __all__ = [
@@ -88,6 +92,28 @@ class MonteCarloConfig:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
 
 
+def tree_sum(values):
+    """Deterministic pairwise reduction of a 1-D array.
+
+    Elements i and i+half are folded together until one value remains; the
+    order is a pure function of the array length, so the result is
+    reproducible run-to-run (unlike parallel reductions).
+    """
+    a = np.ravel(np.asarray(values)).copy()
+    n = a.size
+    if n == 0:
+        return a.dtype.type(0) if a.dtype != object else 0.0
+    while n > 1:
+        half = n // 2
+        a[:half] = a[:half] + a[half : 2 * half]
+        if n % 2:
+            a[half] = a[2 * half]
+            n = half + 1
+        else:
+            n = half
+    return a[0]
+
+
 def gauss_hermite(order: int) -> QuadratureRule1D:
     """Build the order-m Gauss-Hermite rule for the weight exp(-t^2).
 
@@ -118,10 +144,12 @@ def _normalize_scales(scale, d: int) -> np.ndarray:
     return scales
 
 
-def _raise_non_finite(flat_index: int, shape, axes) -> None:
-    idx = np.unravel_index(flat_index, shape)
-    node = tuple(float(axis[i]) for axis, i in zip(axes, idx))
-    raise ValueError(f"integrand is non-finite at node {node}")
+def _check_finite(vals: np.ndarray, axes, prefix: tuple = ()) -> None:
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        idx = np.unravel_index(int(np.flatnonzero(bad.ravel())[0]), vals.shape)
+        node = prefix + tuple(float(axis[i]) for axis, i in zip(axes, idx))
+        raise ValueError(f"integrand is non-finite at node {node}")
 
 
 def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale=1.0):
@@ -144,9 +172,7 @@ def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale=1.0):
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         shape = tuple(axis.size for axis in axes)
         vals = np.broadcast_to(np.asarray(fn(*grids)), shape)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            _raise_non_finite(int(np.flatnonzero(bad.ravel())[0]), shape, axes)
+        _check_finite(vals, axes)
         wprod = weight_axes[0]
         if d == 2:
             wprod = weight_axes[0][:, None] * weight_axes[1][None, :]
@@ -162,12 +188,7 @@ def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale=1.0):
     chunks = []
     for i, x0 in enumerate(axes[0]):
         vals = np.broadcast_to(np.asarray(fn(x0, *grids)), rest_shape)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            flat = int(np.flatnonzero(bad.ravel())[0])
-            idx = np.unravel_index(flat, rest_shape)
-            node = (float(x0),) + tuple(float(axis[k]) for axis, k in zip(rest_axes, idx))
-            raise ValueError(f"integrand is non-finite at node {node}")
+        _check_finite(vals, rest_axes, (float(x0),))
         chunks.append(weight_axes[0][i] * tree_sum(vals * wrest))
     return tree_sum(np.array(chunks)) * norm
 
@@ -187,79 +208,42 @@ def berezin_transform_numeric(
     q: QuantParams,
     order: int = 80,
 ) -> complex:
-    """Evaluate the smoothing transform of f at z by tensor Gauss-Hermite.
+    """Evaluate the smoothing transform of f at z by Gauss-Hermite centred at z.
 
-    For a GaussianSymbol the hot tensor sum runs through the compiled kernel
-    path (see `_kernels`); a generic callable f receives n complex coordinate
-    arrays and must evaluate vectorized.  Limited to n <= 2 (tensor grids on
-    R^(2n)); use order >= 40 for reported results.
+    With (s_k, w_k) the order-m rule and x_j = Re z_j, a GaussianSymbol
+    A*exp(-lam * sum_j (Re w_j)^2) sums to
+
+        A * prod_j (1/pi) * (sum_k w_k exp(-lam*(x_j + s_k/sqrt(alpha))^2)) * (sum_k w_k),
+
+    2n sums of m terms.  A generic callable f receives n complex coordinate
+    arrays, must evaluate vectorized, and is summed on the centred m^(2n)
+    tensor grid.  Limited to n <= 2.  The order sets the accuracy: at
+    lam/alpha = 4 (alpha = 0.5, z = 0, n = 1) an order-40 rule misses the
+    closed form by 1.5e-7 relative, an order-80 rule by 1.2e-14.
     """
     point = as_point(z)
     n = point.dim
     if n > 2:
         raise ValueError(f"numeric transform supports n <= 2, got n = {n}")
-    alpha = q.alpha
-    _growth_bound_check(f, alpha)
+    _growth_bound_check(f, q.alpha)
     rule = gauss_hermite(order)
-    scaled_nodes = rule.nodes / math.sqrt(alpha)
-    zre = np.array([c.real for c in point.coords])
-    zim = np.array([c.imag for c in point.coords])
+    spread = 1.0 / math.sqrt(q.alpha)
 
     if isinstance(f, GaussianSymbol):
         if f.dim != n:
             raise ValueError(f"dimension mismatch: symbol dim {f.dim}, point dim {n}")
-        total = _kernels.gauss_transform_sum(
-            scaled_nodes, rule.weights, zre, zim, alpha, f.compression
-        )
-        return complex(f.amplitude * total / math.pi**n)
+        offsets = spread * rule.nodes
+        mass = tree_sum(rule.weights)
+        value = f.amplitude
+        for c in point.coords:
+            real_sum = tree_sum(rule.weights * np.exp(-f.compression * (c.real + offsets) ** 2))
+            value *= real_sum * mass / math.pi
+        return complex(value)
 
-    # generic path: fold the coherent-kernel factor exp(2*alpha*(x_j*u + y_j*v)
-    # - alpha*(x_j^2 + y_j^2)) into per-axis weights, then tensor-sum f
-    axis_weights = []
-    for j in range(n):
-        axis_weights.append(rule.weights * np.exp(2.0 * alpha * zre[j] * scaled_nodes - alpha * zre[j] ** 2))
-    for j in range(n):
-        axis_weights.append(rule.weights * np.exp(2.0 * alpha * zim[j] * scaled_nodes - alpha * zim[j] ** 2))
+    def centred(*st):
+        return f(*(c + spread * (s + 1j * t) for c, s, t in zip(point.coords, st[:n], st[n:])))
 
-    if n == 1:
-        w_grid = axis_weights[0][:, None] * axis_weights[1][None, :]
-        coords = (scaled_nodes[:, None] + 1j * scaled_nodes[None, :],)
-        vals = np.broadcast_to(np.asarray(f(*coords)), w_grid.shape)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            _raise_non_finite(
-                int(np.flatnonzero(bad.ravel())[0]), w_grid.shape, [scaled_nodes, scaled_nodes]
-            )
-        return complex(tree_sum(vals * w_grid) / math.pi**n)
-
-    # n == 2: chunk over the first real axis; rest grid has axes (u2, v1, v2)
-    m = order
-    wrest = (
-        axis_weights[1][:, None, None]
-        * axis_weights[2][None, :, None]
-        * axis_weights[3][None, None, :]
-    )
-    u2 = scaled_nodes[:, None, None]
-    v1 = scaled_nodes[None, :, None]
-    v2 = scaled_nodes[None, None, :]
-    chunks = []
-    for i in range(m):
-        c1 = scaled_nodes[i] + 1j * v1
-        c2 = u2 + 1j * v2
-        vals = np.broadcast_to(np.asarray(f(c1, c2)), (m, m, m))
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            flat = int(np.flatnonzero(bad.ravel())[0])
-            idx = np.unravel_index(flat, (m, m, m))
-            node = (
-                float(scaled_nodes[i]),
-                float(scaled_nodes[idx[0]]),
-                float(scaled_nodes[idx[1]]),
-                float(scaled_nodes[idx[2]]),
-            )
-            raise ValueError(f"integrand is non-finite at node {node}")
-        chunks.append(axis_weights[0][i] * tree_sum(vals * wrest))
-    return complex(tree_sum(np.array(chunks)) / math.pi**n)
+    return complex(integrate(centred, [rule] * (2 * n)) / math.pi**n)
 
 
 def _eval_on_samples(f, coords):

@@ -48,7 +48,6 @@ def report(criterion, passed, detail):
 def test_criterion_1_transform_reproduction():
     """Quadrature transform matches the closed form to 1e-9 in under 5 s."""
     points = (0j, 0.3 + 0j, -0.45 + 0.2j, 0.6j, 0.7 + 0.4j)
-    # warm the JIT so the timing below measures the computation, not compilation
     berezin_transform_numeric(GaussianSymbol(1, 1.0, 1.0), 0j, QuantParams(1.0), order=80)
     start = time.perf_counter()
     worst = 0.0

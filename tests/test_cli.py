@@ -70,6 +70,42 @@ class TestTransformCommand:
         assert record["results"]["deviation"] < 1e-9
         assert record["results"]["numeric_value"]["re"] == pytest.approx(0.6392799514357761, rel=1e-9)
 
+    def test_far_tail_deviation_is_relative(self, capsys):
+        # the closed value there is 4.8e-171: an absolute bound would accept 0.0
+        code, out, _ = run_cli(
+            capsys,
+            "transform", "--n", "1", "--lambda", "1", "--alpha", "50",
+            "--numeric", "80", "--at", "20,0",
+        )
+        assert code == 0
+        results = record_of(out)["results"]
+        assert results["relative_deviation"] <= 1e-12
+        assert results["numeric_value"]["re"] > 0.0
+
+    def test_coarse_rule_far_out_fails_contract(self, capsys):
+        # an order-4 rule misses a 1e-87 value by all of it
+        code, out, _ = run_cli(
+            capsys,
+            "transform", "--n", "1", "--lambda", "1", "--alpha", "1",
+            "--numeric", "4", "--at", "20,0",
+        )
+        assert code == 3
+        results = record_of(out)["results"]
+        assert results["relative_deviation"] > 1e-6
+        assert results["deviation"] < 1e-6
+
+    def test_underflowed_closed_value_gates_on_absolute_deviation(self, capsys):
+        # exp(-800) underflows to 0.0 on both routes; there is no relative figure
+        code, out, _ = run_cli(
+            capsys,
+            "transform", "--n", "1", "--lambda", "1", "--alpha", "1",
+            "--numeric", "80", "--at", "40,0",
+        )
+        assert code == 0
+        results = record_of(out)["results"]
+        assert results["closed_value_at_point"] == 0.0
+        assert results["relative_deviation"] == results["deviation"] == 0.0
+
     def test_bad_flags_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["transform", "--n", "1", "--lambda", "-1", "--alpha", "1"])

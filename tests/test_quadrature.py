@@ -189,6 +189,71 @@ class TestTransformNumeric:
             berezin_transform_numeric(GaussianSymbol(2, 1.0, 1.0), 0j, QuantParams(1.0))
 
 
+# (Re z, Im z, alpha, lam) per coordinate, for the brute-force comparison
+BRUTE_FORCE_CASES = [
+    (np.array([0.0]), np.array([0.0]), 1.0, 1.0),
+    (np.array([0.3]), np.array([-0.2]), 2.0, 0.5),
+    (np.array([0.2, -0.3]), np.array([0.1, 0.4]), 2.0, 2.0),
+    (np.array([0.5, 0.0]), np.array([0.0, 0.6]), 0.7, 0.0),
+]
+
+
+class TestCentredTransform:
+    @pytest.mark.parametrize(
+        "alpha,z",
+        [
+            (50.0, (2 + 0j,)),
+            (50.0, (20 + 0j,)),
+            (500.0, (1 + 0j,)),
+            (500.0, (20 + 0j,)),
+            (50.0, (2 + 0j, -1.5 + 3j)),
+        ],
+    )
+    def test_large_alpha_times_z_squared(self, alpha, z):
+        # the coherent-state kernel sits far from the origin; the rule follows it
+        symbol = GaussianSymbol(len(z), 1.0, 1.0)
+        q = QuantParams(alpha)
+        closed = evaluate(berezin_transform_closed(symbol, q), z)
+        value = berezin_transform_numeric(symbol, z, q, order=80)
+        assert value.real == pytest.approx(closed, rel=1e-12)
+        assert value.imag == 0.0
+
+    def test_generic_callable_matches_symbol_off_centre(self):
+        symbol = GaussianSymbol(2, 1.0, 1.0)
+        q = QuantParams(50.0)
+        z = (2 + 0j, -1.5 + 3j)
+        fast = berezin_transform_numeric(symbol, z, q, order=24)
+        generic = berezin_transform_numeric(
+            lambda w1, w2: np.exp(-(np.real(w1) ** 2 + np.real(w2) ** 2)), z, q, order=24
+        )
+        assert generic.real == pytest.approx(fast.real, rel=1e-12)
+        assert abs(generic.imag) <= 1e-12 * fast.real
+
+    @pytest.mark.parametrize("zre,zim,alpha,lam", BRUTE_FORCE_CASES)
+    def test_factorized_sum_matches_brute_force(self, zre, zim, alpha, lam):
+        # independent re-computation: dense centred meshgrid on R^(2n) + fsum
+        rule = gauss_hermite(12)
+        n = zre.shape[0]
+        grids = np.meshgrid(*([rule.nodes / math.sqrt(alpha)] * (2 * n)), indexing="ij")
+        wgrids = np.meshgrid(*([rule.weights] * (2 * n)), indexing="ij")
+        values = np.exp(-lam * sum((zre[j] + grids[j]) ** 2 for j in range(n)))
+        for wg in wgrids:
+            values = values * wg
+        brute = math.fsum(values.ravel().tolist()) / math.pi**n
+        z = tuple(complex(x, y) for x, y in zip(zre, zim))
+        fast = berezin_transform_numeric(GaussianSymbol(n, 1.0, lam), z, QuantParams(alpha), order=12)
+        assert fast.real == pytest.approx(brute, rel=1e-13)
+
+    def test_deterministic(self):
+        q = QuantParams(1.5)
+        symbol = GaussianSymbol(1, 1.0, 1.0)
+        first = berezin_transform_numeric(symbol, 0.3 + 0.1j, q, order=60)
+        assert berezin_transform_numeric(symbol, 0.3 + 0.1j, q, order=60) == first
+        generic = lambda w: np.exp(-np.real(w) ** 2)  # noqa: E731
+        first = berezin_transform_numeric(generic, 0.3 + 0.1j, q, order=60)
+        assert berezin_transform_numeric(generic, 0.3 + 0.1j, q, order=60) == first
+
+
 class TestMonteCarlo:
     def test_constant_has_zero_stderr(self):
         cfg = MonteCarloConfig(samples=2000, seed=5)
@@ -232,3 +297,7 @@ class TestTreeSum:
 
     def test_empty(self):
         assert tree_sum(np.array([])) == 0.0
+
+    def test_preserves_dtype(self):
+        assert isinstance(tree_sum(np.array([1.0, 2.0])), np.float64)
+        assert tree_sum(np.array([1.0 + 1j, 2.0 - 0.5j])) == 3.0 + 0.5j
