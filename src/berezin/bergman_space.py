@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian_calculus import (
+    ComplexPoint,
     GaussianSymbol,
     PointLike,
     QuantParams,
@@ -29,7 +30,7 @@ from .gaussian_calculus import (
     as_point,
     berezin_transform_closed,
 )
-from .quadrature import QuadratureRule1D, gauss_hermite, integrate, tree_sum
+from .quadrature import QuadratureRule1D, berezin_transform_numeric, integrate
 from .semiclassics import PolynomialSymbol
 
 __all__ = [
@@ -98,13 +99,9 @@ def weight(z: PointLike, q: QuantParams) -> float:
     return (q.alpha / math.pi) ** point.dim * math.exp(-q.alpha * sq)
 
 
-def weight_mass_numeric(spec: WeightSpec, order: int = 60) -> float:
-    """Quadrature check of the weight's total mass (should be 1); n <= 2."""
-    if spec.dim > 2:
-        raise ValueError("mass check by tensor quadrature supports n <= 2")
-    rules = [gauss_hermite(order)] * (2 * spec.dim)
-    value = integrate(lambda *coords: np.ones(np.broadcast(*coords).shape), rules, scale=spec.alpha)
-    return (spec.alpha / math.pi) ** spec.dim * float(value)
+def weight_mass_numeric(spec: WeightSpec, order: int = 80) -> float:
+    """Quadrature check of the weight's total mass (should be 1): the trace of 1."""
+    return trace_numeric(GaussianSymbol(spec.dim), spec.quant, order)
 
 
 def trace(g: GaussianSymbol, q: QuantParams) -> float:
@@ -119,15 +116,10 @@ def trace(g: GaussianSymbol, q: QuantParams) -> float:
 def trace_numeric(g: GaussianSymbol, q: QuantParams, order: int = 80) -> float:
     """Quadrature evaluation of the trace integral (oracle for `trace`).
 
-    The integrand factorizes per complex coordinate, so the value is the
-    one-coordinate quadrature (alpha/pi) * int exp(-lam*x^2 - alpha*(x^2+y^2)) dx dy
-    raised to the n-th power (still a purely numeric route).
+    The weight is the transform kernel at the origin, so Tr(g) is the
+    numeric transform of g at z = 0 (2n one-dimensional sums at any n).
     """
-    rules = [gauss_hermite(order)] * 2
-    lam = g.compression
-    value = integrate(lambda x, y: np.exp(-lam * x * x) * np.ones_like(y), rules, scale=q.alpha)
-    pair = q.alpha / math.pi * float(value)
-    return g.amplitude * pair**g.dim
+    return berezin_transform_numeric(g, ComplexPoint.origin(g.dim), q, order).real
 
 
 def _squared_transform(lam: float, q: QuantParams, dim: int) -> GaussianSymbol:
@@ -168,8 +160,10 @@ def reproducing_residual(
     """| int p(w) K(z, w) rho(w) dA(w)  -  p(z) | for holomorphic p.
 
     The kernel reproduces holomorphic polynomials; non-holomorphic input
-    (any conj-coordinate power) is rejected.  Tensor quadrature limits the
-    dimension to n <= 2 and the degree to the rule's exactness budget.
+    (any conj-coordinate power) is rejected.  The integral over the 2n real
+    coordinates of w runs through `integrate` with the weight's Gaussian as
+    its node scaling, so the dimension is limited to n <= 2 and the degree
+    to the rule's exactness budget.
     """
     if p.degree_zbar > 0:
         raise ValueError("reproducing property requires a holomorphic polynomial (no conj powers)")
@@ -180,24 +174,11 @@ def reproducing_residual(
     if 2 * p.degree > 2 * rule.order - 1:
         raise ValueError(f"degree {p.degree} exceeds the exactness budget of an order-{rule.order} rule")
     alpha = q.alpha
-    scaled_nodes = rule.nodes / math.sqrt(alpha)
-    if n == 1:
-        coords = (scaled_nodes[:, None] + 1j * scaled_nodes[None, :],)
-        wgrid = rule.weights[:, None] * rule.weights[None, :]
-    else:
-        coords = (
-            scaled_nodes[:, None, None, None] + 1j * scaled_nodes[None, None, :, None],
-            scaled_nodes[None, :, None, None] + 1j * scaled_nodes[None, None, None, :],
-        )
-        wgrid = (
-            rule.weights[:, None, None, None]
-            * rule.weights[None, :, None, None]
-            * rule.weights[None, None, :, None]
-            * rule.weights[None, None, None, :]
-        )
-    phase = np.zeros(coords[0].shape if n == 1 else np.broadcast(*coords).shape, dtype=complex)
-    for zc, wc in zip(point.coords, coords):
-        phase = phase + alpha * zc * np.conj(wc)
-    vals = p.eval_many(coords) * np.exp(phase)
-    total = tree_sum(vals * wgrid) / math.pi**n
+
+    def integrand(*xy):
+        w = tuple(x + 1j * y for x, y in zip(xy[:n], xy[n:]))
+        phase = sum(alpha * zc * np.conj(wc) for zc, wc in zip(point.coords, w))
+        return p.eval_many(w) * np.exp(phase)
+
+    total = integrate(integrand, [rule] * (2 * n), scale=alpha) * (alpha / math.pi) ** n
     return abs(total - p.eval_point(point))

@@ -201,8 +201,7 @@ def cmd_trace(args) -> int:
     }
     exit_code = EXIT_OK
     if not args.no_numeric:
-        order = 60 if args.n == 2 else 80
-        raw_numeric = bergman_space.purity_raw_numeric(args.lam, q, dim=args.n, order=order)
+        raw_numeric = bergman_space.purity_raw_numeric(args.lam, q, dim=args.n)
         normalized_numeric = raw_numeric * report.normalized_trace / report.raw_trace
         deviation = abs(normalized_numeric - report.normalized_trace)
         results["normalized_trace_numeric"] = normalized_numeric
@@ -362,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_transform.add_argument("--alpha", type=_positive(float), required=True)
     p_transform.add_argument("--amplitude", type=_positive(float), default=1.0)
     p_transform.add_argument("--numeric", type=_positive(int), metavar="ORDER", default=None,
-                             help="also evaluate by tensor quadrature at this rule order")
+                             help="also evaluate by centred Gauss-Hermite quadrature at this rule order")
     p_transform.add_argument("--at", default=None, metavar="POINT",
                              help="evaluation point 're,im;re,im;...' (default: origin)")
     p_transform.set_defaults(handler=cmd_transform)

@@ -201,29 +201,20 @@ _COMMUTATOR_STATES = (
 )
 
 
-def commutator_residual(grid: GridSpec, h: float = 1.0, pair: str = "xp") -> float:
+def commutator_residual(grid: GridSpec, h: float = 1.0) -> float:
     """Worst canonical-commutator residual over a fixed smooth family.
 
-    pair "xp" checks ||(x p - p x) psi - i h psi|| / ||psi|| with
-    p = -i*h*d/dx by central differences; "xx" and "pp" check the vanishing
-    self-commutators.
+    Checks ||(x p - p x) psi - i h psi|| / ||psi|| with p = -i*h*d/dx by
+    central differences.
     """
-    if pair not in ("xp", "xx", "pp"):
-        raise ValueError(f"pair must be one of 'xp', 'xx', 'pp', got {pair!r}")
     x, dx = grid.coordinates()
     worst = 0.0
     for state in _COMMUTATOR_STATES:
         psi = _sample_state(state, x)
         norm = _norm_guard(psi, dx)
-        if pair == "xp":
-            p_psi = -1j * h * _first_diff(psi, dx)
-            p_x_psi = -1j * h * _first_diff(x * psi, dx)
-            residual = x * p_psi - p_x_psi - 1j * h * psi
-        elif pair == "xx":
-            residual = x * (x * psi) - x * (x * psi)
-        else:
-            p_psi = -1j * h * _first_diff(psi, dx)
-            residual = -1j * h * _first_diff(p_psi, dx) - (-1j * h * _first_diff(p_psi, dx))
+        p_psi = -1j * h * _first_diff(psi, dx)
+        p_x_psi = -1j * h * _first_diff(x * psi, dx)
+        residual = x * p_psi - p_x_psi - 1j * h * psi
         worst = max(worst, float(np.linalg.norm(residual)) / norm)
     return worst
 

@@ -16,11 +16,12 @@ Its kernel is a Gaussian centred at z.  The change of variables
 w_j = z_j + (s_j + i*t_j)/sqrt(alpha) turns that kernel into the
 Gauss-Hermite weight exp(-|s|^2 - |t|^2), so the rule sits where the
 integrand lives for every z and alpha.  A GaussianSymbol depends only on
-Re w, so its sum factors into 2n one-dimensional sums of m terms; a generic
-callable is summed on the centred tensor grid by `integrate`.  The oracle
-never consults the closed-form width map.  A seeded Monte-Carlo estimator
-samples the same centred Gaussian and provides a second, statistically
-independent route.
+Re w, so its sum factors into 2n one-dimensional sums of m terms at any n;
+a generic callable is summed on the centred tensor grid by `integrate`,
+which limits it to n <= 2.  At z = 0 the kernel is the weight rho itself,
+so the transform there is the trace Tr(f).  The oracle never consults the
+closed-form width map.  A seeded Monte-Carlo estimator samples the same
+centred Gaussian and provides a second, statistically independent route.
 
 All reductions use a fixed deterministic order (pairwise folding), so
 results are reproducible run-to-run.
@@ -193,15 +194,6 @@ def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale=1.0):
     return tree_sum(np.array(chunks)) * norm
 
 
-def _growth_bound_check(f, alpha: float) -> None:
-    lam = getattr(f, "compression", None)
-    if lam is not None and lam <= -alpha:
-        raise ValueError(
-            f"integrand grows faster than the Gaussian weight decays "
-            f"(compression {lam} <= -alpha {-alpha}); the transform integral diverges"
-        )
-
-
 def berezin_transform_numeric(
     f: Union[GaussianSymbol, Callable],
     z: PointLike,
@@ -215,17 +207,15 @@ def berezin_transform_numeric(
 
         A * prod_j (1/pi) * (sum_k w_k exp(-lam*(x_j + s_k/sqrt(alpha))^2)) * (sum_k w_k),
 
-    2n sums of m terms.  A generic callable f receives n complex coordinate
-    arrays, must evaluate vectorized, and is summed on the centred m^(2n)
-    tensor grid.  Limited to n <= 2.  The order sets the accuracy: at
-    lam/alpha = 4 (alpha = 0.5, z = 0, n = 1) an order-40 rule misses the
-    closed form by 1.5e-7 relative, an order-80 rule by 1.2e-14.
+    2n sums of m terms, at any n.  A generic callable f receives n complex
+    coordinate arrays, must evaluate vectorized, and is summed on the centred
+    m^(2n) tensor grid; only callables are limited to n <= 2.  The order
+    sets the accuracy: at lam/alpha = 4 (alpha = 0.5, z = 0, n = 1) an
+    order-40 rule misses the closed form by 1.5e-7 relative, an order-80
+    rule by 1.2e-14.
     """
     point = as_point(z)
     n = point.dim
-    if n > 2:
-        raise ValueError(f"numeric transform supports n <= 2, got n = {n}")
-    _growth_bound_check(f, q.alpha)
     rule = gauss_hermite(order)
     spread = 1.0 / math.sqrt(q.alpha)
 
@@ -239,6 +229,9 @@ def berezin_transform_numeric(
             real_sum = tree_sum(rule.weights * np.exp(-f.compression * (c.real + offsets) ** 2))
             value *= real_sum * mass / math.pi
         return complex(value)
+
+    if n > 2:
+        raise ValueError(f"numeric transform of a callable supports n <= 2, got n = {n}")
 
     def centred(*st):
         return f(*(c + spread * (s + 1j * t) for c, s, t in zip(point.coords, st[:n], st[n:])))
@@ -272,7 +265,6 @@ def monte_carlo_transform(
     bit-for-bit.
     """
     point = as_point(z)
-    _growth_bound_check(f, q.alpha)
     rng = np.random.default_rng(cfg.seed)
     sigma = math.sqrt(1.0 / (2.0 * q.alpha))
     offsets = rng.normal(0.0, sigma, size=(cfg.samples, 2 * point.dim))

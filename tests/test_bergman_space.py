@@ -1,16 +1,19 @@
 """Weight, kernel, reproducing property, trace, and purity index."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from berezin import (
+    ComplexPoint,
     GaussianSymbol,
     PolynomialSymbol,
     QuantParams,
     TraceReport,
     WeightSpec,
+    berezin_transform_numeric,
     gauss_hermite,
     kernel,
     purity_index,
@@ -64,7 +67,7 @@ class TestWeight:
     def test_frozen_value(self):
         assert weight(1.0 + 0j, QuantParams(1.0)) == pytest.approx(0.11709966304863834, rel=1e-15)
 
-    @pytest.mark.parametrize("dim,alpha", [(1, 2.0), (1, 0.5), (2, 1.0)])
+    @pytest.mark.parametrize("dim,alpha", [(1, 2.0), (1, 0.5), (2, 1.0), (3, 0.7)])
     def test_total_mass(self, dim, alpha):
         mass = weight_mass_numeric(WeightSpec(dim=dim, alpha=alpha), order=60)
         assert mass == pytest.approx(1.0, abs=1e-12)
@@ -97,6 +100,12 @@ class TestTrace:
         g = GaussianSymbol(3, 1.0, 1.2)
         q = QuantParams(2.0)
         assert trace_numeric(g, q, order=80) == pytest.approx(trace(g, q), rel=1e-9)
+
+    def test_numeric_trace_is_transform_at_origin(self):
+        for g in (GaussianSymbol(1, 1.0, 1.0), GaussianSymbol(2, 1.5, 0.7), GaussianSymbol(3, 1.0, 1.2)):
+            q = QuantParams(2.0)
+            origin = ComplexPoint.origin(g.dim)
+            assert trace_numeric(g, q) == berezin_transform_numeric(g, origin, q).real
 
 
 class TestPurity:
@@ -177,6 +186,19 @@ class TestReproducing:
         for p in (z1 * z2, z1 * z1, z2):
             residual = reproducing_residual(p, (0.2 + 0.1j, -0.3 + 0.2j), QuantParams(1.5), gauss_hermite(40))
             assert residual < 1e-8
+
+    def test_two_dim_memory_bounded(self):
+        # the m^4 grid is summed in m^3 chunks, never held whole
+        z1 = PolynomialSymbol.coordinate(2, 0)
+        z2 = PolynomialSymbol.coordinate(2, 1)
+        rule = gauss_hermite(40)
+        tracemalloc.start()
+        try:
+            reproducing_residual(z1 * z2, (0.2 + 0.1j, -0.3 + 0.2j), QuantParams(1.5), rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
 
     def test_rejects_non_holomorphic(self):
         p = PolynomialSymbol.conj_coordinate(1)

@@ -70,6 +70,16 @@ class TestTransformCommand:
         assert record["results"]["deviation"] < 1e-9
         assert record["results"]["numeric_value"]["re"] == pytest.approx(0.6392799514357761, rel=1e-9)
 
+    def test_three_dim_numeric(self, capsys):
+        # a Gaussian symbol is summed separably, so the numeric check runs at n = 3
+        code, out, _ = run_cli(
+            capsys,
+            "transform", "--n", "3", "--lambda", "1", "--alpha", "2",
+            "--numeric", "80", "--at", "0.3,0.1;-0.2,0;0.5,0.5",
+        )
+        assert code == 0
+        assert record_of(out)["results"]["relative_deviation"] <= 1e-12
+
     def test_far_tail_deviation_is_relative(self, capsys):
         # the closed value there is 4.8e-171: an absolute bound would accept 0.0
         code, out, _ = run_cli(

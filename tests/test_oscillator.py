@@ -110,20 +110,12 @@ class TestLadderIdentity:
 class TestCommutator:
     @pytest.mark.parametrize("h", [1.0, 0.5])
     def test_canonical_pair(self, h):
-        assert commutator_residual(GRID, h=h, pair="xp") <= 1e-3
-
-    def test_self_commutators_vanish(self):
-        assert commutator_residual(GRID, h=1.0, pair="xx") == 0.0
-        assert commutator_residual(GRID, h=1.0, pair="pp") == 0.0
+        assert commutator_residual(GRID, h=h) <= 1e-3
 
     def test_second_order_scaling(self):
         coarse = commutator_residual(GridSpec(half_width=10.0, points=1000), h=1.0)
         fine = commutator_residual(GridSpec(half_width=10.0, points=2001), h=1.0)
         assert coarse / fine == pytest.approx(4.0, abs=1.0)
-
-    def test_pair_validation(self):
-        with pytest.raises(ValueError, match="pair"):
-            commutator_residual(GRID, pair="px")
 
 
 class TestUncertainty:
