@@ -239,10 +239,8 @@ class UncertaintyReport:
     def __post_init__(self):
         for name in ("lam", "amplitude", "var_x", "var_p", "rhs", "ratio", "norm_sq"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.ratio < 1.0 - 1e-12:
-            raise ValueError(f"uncertainty ratio {self.ratio!r} violates the lower bound 1")
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
 
     @property
     def var_x_normalized(self) -> float:

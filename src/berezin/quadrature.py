@@ -226,8 +226,9 @@ def berezin_transform_numeric(
         mass = tree_sum(rule.weights)
         value = f.amplitude
         for c in point.coords:
-            real_sum = tree_sum(rule.weights * np.exp(-f.compression * (c.real + offsets) ** 2))
-            value *= real_sum * mass / math.pi
+            values = rule.weights * np.exp(-f.compression * (c.real + offsets) ** 2)
+            _check_finite(values, [offsets])
+            value *= tree_sum(values) * mass / math.pi
         return complex(value)
 
     if n > 2:

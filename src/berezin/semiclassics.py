@@ -10,6 +10,12 @@ a finite sum on polynomials; the order-j bidifferential term is
 C_j(f, g) = sum_{|beta| = j} (1/beta!) d_z^beta f d_zbar^beta g, so
 C_0(f, g) = f*g and the product is exactly associative with unit 1.
 
+As d_z^beta z^b = perm(b, beta) z^(b - beta) with perm(b, k) = b!/(b-k)!, the
+product, each C_j and the star product are one sum over pairs of terms: for
+each beta <= min(b1, g2), c1 z^b1 zbar^g1 and c2 z^b2 zbar^g2 add the monomial-pair
+coefficient c1 c2 perm(b1, beta) perm(g2, beta) alpha^(-|beta|) / beta! to
+z^(b1 + b2 - beta) zbar^(g1 + g2 - beta).
+
 The antisymmetrized first-order term satisfies
 
     C_1(f, g) - C_1(g, f) = (i/(2*pi)) * {f, g}
@@ -26,8 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from typing import Iterable, Mapping, Sequence
+from itertools import product
+from operator import add, sub
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -58,10 +65,10 @@ BRACKET_NORMALIZATION = 2.0 * math.pi / 1j
 
 
 def _validate_index(index, dim: int) -> tuple:
-    idx = tuple(int(k) for k in index)
+    idx = tuple(map(int, index))
     if len(idx) != dim:
         raise ValueError(f"multi-index {idx} has length {len(idx)}, expected {dim}")
-    if any(k < 0 for k in idx):
+    if min(idx) < 0:
         raise ValueError(f"multi-index entries must be non-negative, got {idx}")
     return idx
 
@@ -165,17 +172,7 @@ class PolynomialSymbol:
     def __mul__(self, other):
         if not isinstance(other, PolynomialSymbol):
             return self.scaled(other)
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        acc: dict = {}
-        for b1, g1, c1 in self.terms:
-            for b2, g2, c2 in other.terms:
-                key = (
-                    tuple(x + y for x, y in zip(b1, b2)),
-                    tuple(x + y for x, y in zip(g1, g2)),
-                )
-                acc[key] = acc.get(key, 0j) + c1 * c2
-        return PolynomialSymbol.from_terms(self.dim, acc)
+        return _bidifferential(self, other, 1.0, 0)
 
     def __rmul__(self, other):
         return self.scaled(other)
@@ -259,63 +256,45 @@ def _check_dims(f: PolynomialSymbol, g: PolynomialSymbol) -> int:
     return f.dim
 
 
-def _multi_indices(total: int, dim: int) -> Iterable[tuple]:
-    """All beta in N^dim with |beta| = total."""
-    if total == 0:
-        yield (0,) * dim
-        return
-    for combo in combinations_with_replacement(range(dim), total):
-        beta = [0] * dim
-        for axis in combo:
-            beta[axis] += 1
-        yield tuple(beta)
+def _bidifferential(
+    f: PolynomialSymbol, g: PolynomialSymbol, inv_alpha: float, j: int | None = None
+) -> PolynomialSymbol:
+    """The monomial-pair sum with 1/alpha = inv_alpha, only |beta| = j when j is given.
 
-
-def _iterated_deriv(p: PolynomialSymbol, beta: tuple, holomorphic: bool) -> PolynomialSymbol:
-    out = p
-    for axis, count in enumerate(beta):
-        for _ in range(count):
-            out = out.deriv_z(axis) if holomorphic else out.deriv_zbar(axis)
-            if out.is_zero:
-                return out
-    return out
+    The coefficient is rounded as (c1 * perm(b1, beta)) * (c2 * perm(g2, beta)) *
+    (inv_alpha^|beta| / beta!), like a chain of derivatives.
+    """
+    dim = _check_dims(f, g)
+    cap = math.inf if j is None else j
+    acc: dict = {}
+    for b1, g1, c1 in f.terms:
+        for b2, g2, c2 in g.terms:
+            for beta in product(*(range(min(x, y, cap) + 1) for x, y in zip(b1, g2))):
+                order = sum(beta)
+                if j is not None and order != j:
+                    continue
+                p1 = p2 = factorial = 1
+                for x, y, k in zip(b1, g2, beta):
+                    if k:
+                        p1 *= math.perm(x, k)
+                        p2 *= math.perm(y, k)
+                        factorial *= math.factorial(k)
+                key = (tuple(map(sub, map(add, b1, b2), beta)), tuple(map(sub, map(add, g1, g2), beta)))
+                acc[key] = acc.get(key, 0j) + (c1 * p1) * (c2 * p2) * (inv_alpha**order / factorial)
+    return PolynomialSymbol.from_terms(dim, acc)
 
 
 def c_term(f: PolynomialSymbol, g: PolynomialSymbol, j: int) -> PolynomialSymbol:
-    """Order-j bidifferential term sum_{|beta|=j} (1/beta!) d^beta f dbar^beta g."""
-    dim = _check_dims(f, g)
+    """C_j(f, g): the monomial-pair coefficients perm(b1, beta) perm(g2, beta) / beta!, |beta| = j."""
     if not isinstance(j, int) or j < 0:
         raise ValueError(f"order must be a non-negative integer, got {j!r}")
-    if j == 0:
-        return f * g
-    total = PolynomialSymbol(dim, ())
-    for beta in _multi_indices(j, dim):
-        df = _iterated_deriv(f, beta, holomorphic=True)
-        if df.is_zero:
-            continue
-        dg = _iterated_deriv(g, beta, holomorphic=False)
-        if dg.is_zero:
-            continue
-        factorial = 1.0
-        for count in beta:
-            factorial *= math.factorial(count)
-        total = total + (df * dg).scaled(1.0 / factorial)
-    return total
+    return _bidifferential(f, g, 1.0, j)
 
 
 def wick_star(f: PolynomialSymbol, g: PolynomialSymbol, q: QuantParams) -> PolynomialSymbol:
-    """Normal-ordered star product; finite sum of 1/alpha-weighted C_j terms."""
-    dim = _check_dims(f, g)
-    inv_alpha = 1.0 / q.alpha
-    max_order = min(f.degree_z, g.degree_zbar)
-    total = PolynomialSymbol(dim, ())
-    factor = 1.0
-    for j in range(max_order + 1):
-        term = c_term(f, g, j)
-        if not term.is_zero:
-            total = total + term.scaled(factor)
-        factor *= inv_alpha
-    return total
+    """Normal-ordered star product, the sum of the monomial-pair coefficients
+    perm(b1, beta) perm(g2, beta) alpha^-|beta| / beta! over all beta."""
+    return _bidifferential(f, g, 1.0 / q.alpha)
 
 
 def poisson_bracket(

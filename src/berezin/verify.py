@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
+from typing import Iterable
 
 import numpy as np
 
@@ -138,13 +140,25 @@ def _suite_expansion(seed: int) -> list[CheckResult]:
 # -- suite: star product --------------------------------------------------------
 
 
+def _multi_indices(total: int, dim: int) -> Iterable[tuple]:
+    """All beta in N^dim with |beta| = total."""
+    if total == 0:
+        yield (0,) * dim
+        return
+    for combo in combinations_with_replacement(range(dim), total):
+        beta = [0] * dim
+        for axis in combo:
+            beta[axis] += 1
+        yield tuple(beta)
+
+
 def _all_exponent_pairs(dim: int, degree: int) -> list[tuple]:
     # fixed enumeration order keeps seeded draws reproducible
     pairs = []
     for total in range(degree + 1):
         for split in range(total + 1):
-            for beta in semiclassics._multi_indices(split, dim):
-                for gamma in semiclassics._multi_indices(total - split, dim):
+            for beta in _multi_indices(split, dim):
+                for gamma in _multi_indices(total - split, dim):
                     pairs.append((beta, gamma))
     return pairs
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from berezin.cli import RunRecord, main, parse_grid, parse_point
@@ -115,6 +116,17 @@ class TestTransformCommand:
         results = record_of(out)["results"]
         assert results["closed_value_at_point"] == 0.0
         assert results["relative_deviation"] == results["deviation"] == 0.0
+
+    def test_overflowing_rule_names_node(self, capsys):
+        # at alpha=1e-310 the rule nodes overflow; the error names one instead of emitting NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(
+                capsys,
+                "transform", "--n", "1", "--lambda", "0", "--alpha", "1e-310", "--numeric", "80",
+            )
+        assert code == 2
+        assert out == ""
+        assert "integrand is non-finite at node" in err
 
     def test_bad_flags_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

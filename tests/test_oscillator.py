@@ -171,5 +171,14 @@ class TestUncertainty:
             uncertainty_report(1.0, 0.0)
 
     def test_report_invariant(self):
-        with pytest.raises(ValueError):
-            UncertaintyReport(lam=1.0, amplitude=1.0, var_x=1.0, var_p=1.0, rhs=2.0, ratio=0.5, norm_sq=1.0)
+        # a ratio below 1 is a failed check for the caller to report, not a malformed report
+        report = UncertaintyReport(lam=1.0, amplitude=1.0, var_x=1.0, var_p=1.0, rhs=2.0, ratio=0.5, norm_sq=1.0)
+        assert report.ratio == 0.5
+        with pytest.raises(ValueError, match="var_x must be non-negative and finite"):
+            UncertaintyReport(lam=1.0, amplitude=1.0, var_x=math.nan, var_p=1.0, rhs=2.0, ratio=0.5, norm_sq=1.0)
+
+    def test_one_node_rule_reports_failed_ratio(self):
+        # the order-1 rule has its only node at 0, so both second moments vanish
+        report = uncertainty_quadrature(1.0, 1.0, order=1)
+        assert report.var_x == report.var_p == report.ratio == 0.0
+        assert report.rhs > 0.0

@@ -182,6 +182,12 @@ class TestTransformNumeric:
         with pytest.raises(ValueError, match="dimension mismatch"):
             berezin_transform_numeric(GaussianSymbol(2, 1.0, 1.0), 0j, QuantParams(1.0))
 
+    def test_overflowing_nodes_raise(self):
+        # at alpha=1e-310 the rule spread 1/sqrt(alpha) squares to inf, and 0*inf is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite at node"):
+                berezin_transform_numeric(GaussianSymbol(1, 1.0, 0.0), 0j, QuantParams(1e-310))
+
 
 # (Re z, Im z, alpha, lam) per coordinate, for the brute-force comparison
 BRUTE_FORCE_CASES = [

@@ -1,5 +1,6 @@
 """Star product, bidifferential terms, bracket condition, expansion check."""
 
+import itertools
 import json
 import math
 
@@ -27,6 +28,18 @@ ONE = PolynomialSymbol.constant(1, 1.0)
 
 def coeffs_close(p, q, tol=1e-12):
     return (p - q).max_coeff() <= tol
+
+
+def star_by_derivatives(f, g, alpha):
+    total = PolynomialSymbol(f.dim, ())
+    for beta in itertools.product(range(f.degree_z + 1), repeat=f.dim):
+        df, dg = f, g
+        for axis, count in enumerate(beta):
+            for _ in range(count):
+                df, dg = df.deriv_z(axis), dg.deriv_zbar(axis)
+        weight = alpha ** -sum(beta) / math.prod(math.factorial(k) for k in beta)
+        total = total + (df * dg).scaled(weight)
+    return total
 
 
 @st.composite
@@ -112,20 +125,25 @@ class TestWickStar:
             assert commutator == PolynomialSymbol.constant(1, 1.0 / alpha)
 
     def test_c_term_sum_reconstructs_star(self):
+        # independent route: sum_beta alpha^-|beta| / beta! d^beta f dbar^beta g built
+        # from repeated public first derivatives, not from the monomial-pair coefficient
         rng = np.random.default_rng(21)
         q = QuantParams(1.3)
-        for _ in range(10):
-            f = _random_polynomial(rng, 2, degree=3)
-            g = _random_polynomial(rng, 2, degree=3)
-            total = PolynomialSymbol(2, ())
-            for j in range(f.degree_z + 1):
-                total = total + c_term(f, g, j).scaled((1.0 / q.alpha) ** j)
-            assert coeffs_close(total, wick_star(f, g, q), tol=1e-13)
+        for dim in (1, 2, 3) * 10:
+            f = _random_polynomial(rng, dim, degree=3)
+            g = _random_polynomial(rng, dim, degree=3)
+            reference = star_by_derivatives(f, g, q.alpha)
+            tol = 1e-13 * reference.max_coeff()
+            assert coeffs_close(wick_star(f, g, q), reference, tol=tol)
 
     @given(data=polynomials(dim=1, degree=3), other=polynomials(dim=1, degree=3))
     @settings(max_examples=50, derandomize=True)
     def test_truncation_at_zero_is_product(self, data, other):
-        assert c_term(data, other, 0) == data * other
+        product = data * other
+        assert c_term(data, other, 0) == product
+        for z in np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 2)) @ (1.0, 1j):
+            expected = data.eval_point(z) * other.eval_point(z)
+            assert product.eval_point(z) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_associativity_seeded(self):
         rng = np.random.default_rng(5)
