@@ -72,7 +72,10 @@ class RunRecord:
         return data
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"), allow_nan=False)
+        try:
+            return json.dumps(self.to_dict(), separators=(",", ":"), allow_nan=False)
+        except ValueError as exc:  # a NaN or infinity has no JSON form
+            raise quadrature.NumericContractError(f"run record is not finite: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
@@ -401,6 +404,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except quadrature.NumericContractError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CONTRACT
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

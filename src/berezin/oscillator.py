@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .quadrature import gauss_hermite, integrate
 
@@ -104,6 +103,9 @@ def spectrum(spec: OscillatorSpec, grid: GridSpec, levels: int) -> np.ndarray:
     """
     if not isinstance(levels, int) or not 1 <= levels <= 10:
         raise ValueError(f"levels must be an integer in [1, 10], got {levels!r}")
+    # imported here so that importing the package does not load scipy
+    from scipy.linalg import eigvalsh_tridiagonal
+
     _warn_if_coarse(grid)
     x, dx = grid.coordinates()
     diagonal = x * x + 2.0 / dx**2 + (spec.h - 1.0)

@@ -22,7 +22,6 @@ from .gaussian_calculus import (
     QuantParams,
     berezin_transform_closed,
     evaluate,
-    gaussian_moment,
     heat_evolve,
     taylor_remainder,
 )
@@ -253,13 +252,20 @@ def _suite_spectrum(seed: int) -> list[CheckResult]:
 
 def _suite_quadrature(seed: int) -> list[CheckResult]:
     checks = []
-    for order in (2, 5, 10, 40):
+    for order in (2, 5, 10, 40, 128, 256, quadrature.MAX_RULE_ORDER):
         rule = quadrature.gauss_hermite(order)
+        # high orders put w near 1e-300 and t^k near 1e+1000, so each even
+        # moment is a max-shifted sum of exp(log w + k log|t|), set against
+        # log Gamma((k+1)/2)
+        log_weights = np.log(rule.weights)
+        off_centre = rule.nodes != 0.0
+        log_nodes = np.log(np.abs(rule.nodes[off_centre]))
         worst = 0.0
         for k in range(0, 2 * order - 1, 2):
-            numeric = float(np.sum(rule.weights * rule.nodes**k))
-            exact = gaussian_moment(k, 1.0)
-            worst = max(worst, abs(numeric - exact) / exact)
+            terms = log_weights if k == 0 else log_weights[off_centre] + k * log_nodes
+            top = float(terms.max())
+            log_moment = top + math.log(float(np.sum(np.exp(terms - top))))
+            worst = max(worst, abs(math.expm1(log_moment - math.lgamma((k + 1) / 2))))
         checks.append(CheckResult("quadrature", f"exactness to degree {2 * order - 1} at m={order}", worst, 1e-12))
 
     symbol = GaussianSymbol(dim=1, amplitude=1.0, compression=1.0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from berezin.cli import RunRecord, main, parse_grid, parse_point
+from berezin.quadrature import NumericContractError
 
 
 def run_cli(capsys, *argv):
@@ -22,6 +23,21 @@ def record_of(stdout):
     lines = [line for line in stdout.splitlines() if line.strip()]
     assert len(lines) == 1, f"expected one JSON line, got {lines!r}"
     return json.loads(lines[0])
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        # scipy is loaded by oscillator.spectrum on its first call, not at import
+        probe = (
+            "import sys, numpy as np, berezin.cli\n"
+            "assert 'scipy' not in sys.modules, 'import berezin.cli loaded scipy'\n"
+            "from berezin import GridSpec, OscillatorSpec, spectrum\n"
+            "values = spectrum(OscillatorSpec(dim=1, h=1.0), GridSpec(half_width=10.0, points=2000), levels=4)\n"
+            "assert np.abs(values - (2.0 * np.arange(4) + 1.0)).max() < 1e-3, values\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestParsers:
@@ -124,9 +140,18 @@ class TestTransformCommand:
                 capsys,
                 "transform", "--n", "1", "--lambda", "0", "--alpha", "1e-310", "--numeric", "80",
             )
-        assert code == 2
+        assert code == 3
         assert out == ""
         assert "integrand is non-finite at node" in err
+
+    def test_order_beyond_rule_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "transform", "--n", "1", "--lambda", "1", "--alpha", "1", "--numeric", "361",
+        )
+        assert code == 2
+        assert out == ""
+        assert "order" in err
 
     def test_bad_flags_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -138,6 +163,11 @@ class TestTransformCommand:
         data = record_of(out)
         record = RunRecord.from_dict(data)
         assert json.loads(record.to_json()) == data
+
+    def test_non_finite_record_is_contract_error(self):
+        record = RunRecord(command="transform", parameters={}, results={"deviation": float("nan")})
+        with pytest.raises(NumericContractError, match="not finite"):
+            record.to_json()
 
     def test_results_field_reproducible(self, capsys):
         argv = ("transform", "--n", "1", "--lambda", "1.5", "--alpha", "2.5", "--numeric", "40")

@@ -17,7 +17,7 @@ from berezin import (
     integrate,
     monte_carlo_transform,
 )
-from berezin.quadrature import tree_sum
+from berezin.quadrature import MAX_RULE_ORDER, tree_sum
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -38,7 +38,7 @@ class TestGaussHermite:
         numeric = float(np.sum(rule.weights * rule.nodes**8))
         assert numeric == pytest.approx(gaussian_moment(8, 1.0), rel=1e-12)
 
-    @pytest.mark.parametrize("order", [2, 3, 7, 16, 64, 80, 512])
+    @pytest.mark.parametrize("order", [2, 3, 7, 16, 64, 80, MAX_RULE_ORDER])
     def test_invariants(self, order):
         rule = gauss_hermite(order)
         assert np.all(rule.nodes + rule.nodes[::-1] == 0.0)  # exact symmetry
@@ -56,11 +56,25 @@ class TestGaussHermite:
             scale = gaussian_moment(k + 1, 1.0)
             assert abs(numeric) <= 1e-12 * max(1.0, scale)
 
+    @pytest.mark.parametrize("order", [128, 256, MAX_RULE_ORDER])
+    def test_exactness_in_log_space_at_high_order(self, order):
+        # the outer terms reach 1e-300 and t^k reaches 1e+1000, so the moment
+        # is summed as a max-shifted sum of exp(log w + k log|t|)
+        rule = gauss_hermite(order)
+        log_weights = np.log(rule.weights)
+        off_centre = rule.nodes != 0.0
+        log_nodes = np.log(np.abs(rule.nodes[off_centre]))
+        for k in range(0, 2 * order - 1, 2):
+            terms = log_weights if k == 0 else log_weights[off_centre] + k * log_nodes
+            top = float(terms.max())
+            log_moment = top + math.log(float(np.sum(np.exp(terms - top))))
+            assert abs(math.expm1(log_moment - math.lgamma((k + 1) / 2))) <= 1e-12, k
+
     def test_order_bounds(self):
         with pytest.raises(ValueError):
             gauss_hermite(0)
         with pytest.raises(ValueError):
-            gauss_hermite(513)
+            gauss_hermite(MAX_RULE_ORDER + 1)
 
     def test_rule_is_read_only(self):
         rule = gauss_hermite(4)
