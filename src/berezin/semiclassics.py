@@ -25,15 +25,17 @@ where the bracket is normalized as {f, g} = kappa * sum_j (d_z f d_zbar g
 scale=1j for the conventional complex-coordinates bracket.
 
 Derivatives and products act on integer exponents exactly; round-off enters
-only through the complex coefficients.
+only through the complex coefficients.  Public constructors validate exponents
+and coefficients and merge repeated terms; library results are built canonical.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import product
-from operator import add, sub
+from operator import add, index, sub
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,8 +66,11 @@ __all__ = [
 BRACKET_NORMALIZATION = 2.0 * math.pi / 1j
 
 
-def _validate_index(index, dim: int) -> tuple:
-    idx = tuple(map(int, index))
+def _validate_index(entries, dim: int) -> tuple:
+    entries = tuple(entries)
+    if any(isinstance(k, bool) or not hasattr(k, "__index__") for k in entries):
+        raise ValueError(f"multi-index {entries!r} must hold integers")
+    idx = tuple(map(index, entries))
     if len(idx) != dim:
         raise ValueError(f"multi-index {idx} has length {len(idx)}, expected {dim}")
     if min(idx) < 0:
@@ -83,15 +88,22 @@ class PolynomialSymbol:
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        canonical = []
+        merged: dict = {}
         for beta, gamma, coeff in self.terms:
-            beta = _validate_index(beta, self.dim)
-            gamma = _validate_index(gamma, self.dim)
-            coeff = complex(coeff)
-            if coeff != 0:
-                canonical.append((beta, gamma, coeff))
-        canonical.sort(key=lambda t: (t[0], t[1]))
-        object.__setattr__(self, "terms", tuple(canonical))
+            key = (_validate_index(beta, self.dim), _validate_index(gamma, self.dim))
+            merged[key] = merged[key] + complex(coeff) if key in merged else complex(coeff)
+            if not cmath.isfinite(merged[key]):
+                raise ValueError(f"coefficient of the term beta={key[0]}, gamma={key[1]} is not finite: {merged[key]}")
+        object.__setattr__(self, "terms", self._canonical(self.dim, merged).terms)
+
+    @classmethod
+    def _canonical(cls, dim: int, acc: dict) -> "PolynomialSymbol":
+        """Unvalidated: acc maps library-built (beta, gamma) int tuples to complex."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        # keys are unique, so sorting never compares coefficients
+        object.__setattr__(self, "terms", tuple(sorted((b, g, c) for (b, g), c in acc.items() if c)))
+        return self
 
     # -- construction -----------------------------------------------------
 
@@ -143,63 +155,54 @@ class PolynomialSymbol:
 
     # -- ring operations ----------------------------------------------------
 
-    def _binary(self, other, sign: int) -> "PolynomialSymbol":
+    def _binary(self, other, op) -> "PolynomialSymbol":
         if not isinstance(other, PolynomialSymbol):
             other = PolynomialSymbol.constant(self.dim, other)
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        acc = dict(self.terms_dict())
-        for beta, gamma, coeff in other.terms:
-            key = (beta, gamma)
-            acc[key] = acc.get(key, 0j) + sign * coeff
-        return PolynomialSymbol.from_terms(self.dim, acc)
+        dim = _check_dims(self, other)
+        return PolynomialSymbol._canonical(dim, _fold(self.terms_dict(), other.terms_dict().items(), op))
 
     def __add__(self, other):
-        return self._binary(other, +1)
+        return self._binary(other, add)
 
-    def __radd__(self, other):
-        return self._binary(other, +1)
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, -1)
+        return self._binary(other, sub)
 
     def __neg__(self):
         return self.scaled(-1.0)
 
     def scaled(self, factor: complex) -> "PolynomialSymbol":
-        return PolynomialSymbol(self.dim, tuple((b, g, factor * c) for b, g, c in self.terms))
+        factor = complex(factor)
+        if not cmath.isfinite(factor):
+            raise ValueError(f"scale factor must be finite, got {factor}")
+        return PolynomialSymbol._canonical(self.dim, {(b, g): factor * c for b, g, c in self.terms})
 
     def __mul__(self, other):
         if not isinstance(other, PolynomialSymbol):
             return self.scaled(other)
         return _bidifferential(self, other, 1.0, 0)
 
-    def __rmul__(self, other):
-        return self.scaled(other)
+    __rmul__ = scaled
 
     # -- calculus ------------------------------------------------------------
 
-    def deriv_z(self, axis: int) -> "PolynomialSymbol":
-        """Holomorphic derivative d/dz_axis."""
+    def _derivative(self, axis: int, conj: bool) -> dict:
         acc: dict = {}
         for beta, gamma, coeff in self.terms:
-            if beta[axis] == 0:
-                continue
-            new_beta = tuple(k - 1 if j == axis else k for j, k in enumerate(beta))
-            key = (new_beta, gamma)
-            acc[key] = acc.get(key, 0j) + coeff * beta[axis]
-        return PolynomialSymbol.from_terms(self.dim, acc)
+            exps = gamma if conj else beta
+            if exps[axis]:  # distinct terms have distinct derivatives
+                lowered = tuple(k - 1 if j == axis else k for j, k in enumerate(exps))
+                acc[(beta, lowered) if conj else (lowered, gamma)] = coeff * exps[axis]
+        return acc
+
+    def deriv_z(self, axis: int) -> "PolynomialSymbol":
+        """Holomorphic derivative d/dz_axis."""
+        return PolynomialSymbol._canonical(self.dim, self._derivative(axis, False))
 
     def deriv_zbar(self, axis: int) -> "PolynomialSymbol":
         """Antiholomorphic derivative d/dconj(z_axis)."""
-        acc: dict = {}
-        for beta, gamma, coeff in self.terms:
-            if gamma[axis] == 0:
-                continue
-            new_gamma = tuple(k - 1 if j == axis else k for j, k in enumerate(gamma))
-            key = (beta, new_gamma)
-            acc[key] = acc.get(key, 0j) + coeff * gamma[axis]
-        return PolynomialSymbol.from_terms(self.dim, acc)
+        return PolynomialSymbol._canonical(self.dim, self._derivative(axis, True))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -243,11 +246,15 @@ class PolynomialSymbol:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PolynomialSymbol":
-        terms = tuple(
-            (tuple(t["beta"]), tuple(t["gamma"]), complex(t["re"], t["im"]))
-            for t in data["terms"]
-        )
+        terms = tuple((t["beta"], t["gamma"], complex(t["re"], t["im"])) for t in data["terms"])
         return cls(int(data["dim"]), terms)
+
+
+def _fold(acc: dict, pairs, op) -> dict:
+    """acc op (key, coeff) pairs, in order, without the keys that end at zero."""
+    for key, coeff in pairs:
+        acc[key] = op(acc.get(key, 0j), coeff)
+    return {key: coeff for key, coeff in acc.items() if coeff}
 
 
 def _check_dims(f: PolynomialSymbol, g: PolynomialSymbol) -> int:
@@ -273,15 +280,11 @@ def _bidifferential(
                 order = sum(beta)
                 if j is not None and order != j:
                     continue
-                p1 = p2 = factorial = 1
-                for x, y, k in zip(b1, g2, beta):
-                    if k:
-                        p1 *= math.perm(x, k)
-                        p2 *= math.perm(y, k)
-                        factorial *= math.factorial(k)
+                p1, p2 = math.prod(map(math.perm, b1, beta)), math.prod(map(math.perm, g2, beta))
+                factorial = math.prod(map(math.factorial, beta))
                 key = (tuple(map(sub, map(add, b1, b2), beta)), tuple(map(sub, map(add, g1, g2), beta)))
                 acc[key] = acc.get(key, 0j) + (c1 * p1) * (c2 * p2) * (inv_alpha**order / factorial)
-    return PolynomialSymbol.from_terms(dim, acc)
+    return PolynomialSymbol._canonical(dim, acc)
 
 
 def c_term(f: PolynomialSymbol, g: PolynomialSymbol, j: int) -> PolynomialSymbol:
@@ -308,10 +311,14 @@ def poisson_bracket(
     scale=1j recovers the conventional complex-coordinates bracket.
     """
     dim = _check_dims(f, g)
-    acc = PolynomialSymbol(dim, ())
+    acc: dict = {}
     for axis in range(dim):
-        acc = acc + f.deriv_z(axis) * g.deriv_zbar(axis) - f.deriv_zbar(axis) * g.deriv_z(axis)
-    return acc.scaled(scale)
+        for op, df, dg in ((add, f._derivative(axis, False), g._derivative(axis, True)),
+                           (sub, f._derivative(axis, True), g._derivative(axis, False))):
+            pairs = (((tuple(map(add, b1, b2)), tuple(map(add, g1, g2))), c1 * c2)
+                     for (b1, g1), c1 in df.items() for (b2, g2), c2 in dg.items())
+            acc = _fold(acc, _fold({}, pairs, add).items(), op)
+    return PolynomialSymbol._canonical(dim, acc).scaled(scale)
 
 
 def quantization_condition_residual(f: PolynomialSymbol, g: PolynomialSymbol) -> float:
@@ -320,7 +327,6 @@ def quantization_condition_residual(f: PolynomialSymbol, g: PolynomialSymbol) ->
     Zero (to round-off) certifies the first-order compatibility of the star
     product with the bracket.
     """
-    _check_dims(f, g)
     lhs = c_term(f, g, 1) - c_term(g, f, 1)
     rhs = poisson_bracket(f, g).scaled(1j / (2.0 * math.pi))
     return (lhs - rhs).max_coeff()

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from berezin import (
     quantization_condition_residual,
     wick_star,
 )
+from berezin import semiclassics
 from berezin.verify import _random_polynomial
 
 Z = PolynomialSymbol.coordinate(1)
@@ -42,6 +44,17 @@ def star_by_derivatives(f, g, alpha):
     return total
 
 
+def bracket_by_derivatives(f, g, scale):
+    total = PolynomialSymbol(f.dim, ())
+    for axis in range(f.dim):
+        total = total + f.deriv_z(axis) * g.deriv_zbar(axis) - f.deriv_zbar(axis) * g.deriv_z(axis)
+    return total.scaled(scale)
+
+
+def coefficient_bits(p):
+    return [(beta, gamma, c.real.hex(), c.imag.hex()) for beta, gamma, c in p.terms]
+
+
 @st.composite
 def polynomials(draw, dim=1, degree=2):
     seed = draw(st.integers(min_value=0, max_value=2**31))
@@ -59,6 +72,53 @@ class TestPolynomialSymbol:
             PolynomialSymbol(2, (((1,), (0, 0), 1.0),))
         with pytest.raises(ValueError, match="non-negative"):
             PolynomialSymbol(1, (((-1,), (0,), 1.0),))
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, True, "2", np.float64(1.0)], ids=["1.5", "2.0", "True", "str", "np.float64"])
+    def test_non_integral_exponents_rejected(self, entry):
+        with pytest.raises(ValueError, match=re.escape(f"multi-index ({entry!r},) must hold integers")):
+            PolynomialSymbol(1, (((entry,), (0,), 1.0),))
+        with pytest.raises(ValueError, match="must hold integers"):
+            PolynomialSymbol.from_json_dict({"dim": 1, "terms": [{"beta": [0], "gamma": [entry], "re": 1.0, "im": 0.0}]})
+
+    def test_numpy_integer_exponents_accepted(self):
+        p = PolynomialSymbol(2, (((np.int64(2), np.int32(0)), (np.uint8(1), 0), 1.0),))
+        assert p.terms == (((2, 0), (1, 0), 1.0 + 0j),)
+        assert all(type(k) is int for beta, gamma, _ in p.terms for k in beta + gamma)
+
+    def test_duplicate_terms_merged(self):
+        doubled = PolynomialSymbol(1, (((1,), (0,), 1.0), ((0,), (1,), 0.5), ((1,), (0,), 2.0)))
+        assert doubled.terms_dict() == {((0,), (1,)): 0.5 + 0j, ((1,), (0,)): 3.0 + 0j}
+        assert doubled == 3.0 * Z + 0.5 * ZBAR
+        assert doubled + 0 == doubled
+        assert (doubled - 3.0 * Z - 0.5 * ZBAR).is_zero
+        assert PolynomialSymbol(1, (((1,), (0,), 1.0), ((1,), (0,), -1.0))).is_zero
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_coefficients_rejected(self, bad):
+        for terms in ((((0,), (0,), 2.0), ((1,), (0,), bad)), (((1,), (0,), bad), ((0,), (0,), 2.0))):
+            with pytest.raises(ValueError, match=r"beta=\(1,\), gamma=\(0,\) is not finite"):
+                PolynomialSymbol(1, terms)
+        with pytest.raises(ValueError, match="not finite"):
+            PolynomialSymbol(1, (((0,), (0,), 1e308), ((0,), (0,), 1e308)))
+        with pytest.raises(ValueError, match="finite"):
+            Z * bad
+
+    def test_results_are_not_revalidated(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        f, g = (_random_polynomial(rng, 3, degree=6, terms=30) for _ in range(2))
+        calls = []
+        validate = semiclassics._validate_index
+
+        def counting(entries, dim):
+            calls.append(dim)
+            return validate(entries, dim)
+
+        monkeypatch.setattr(semiclassics, "_validate_index", counting)
+        wick_star(f, g, QuantParams(1.3))
+        quantization_condition_residual(f, g)
+        assert calls == []
+        PolynomialSymbol(3, f.terms)
+        assert len(calls) == 2 * len(f.terms)
 
     def test_degrees(self):
         p = Z * Z * ZBAR + ZBAR
@@ -195,6 +255,15 @@ class TestPoissonBracket:
     def test_quadratic_case(self):
         bracket = poisson_bracket(Z * Z, ZBAR)
         assert bracket == (-4j * math.pi) * Z
+
+    def test_matches_derivative_reference_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for dim in (1, 2, 3) * 10:
+            f = _random_polynomial(rng, dim, degree=4, terms=8)
+            g = _random_polynomial(rng, dim, degree=4, terms=8)
+            for scale in (BRACKET_NORMALIZATION, 1j):
+                reference = bracket_by_derivatives(f, g, scale)
+                assert coefficient_bits(poisson_bracket(f, g, scale=scale)) == coefficient_bits(reference)
 
     def test_conventional_scale(self):
         bracket = poisson_bracket(Z, ZBAR, scale=1j)
