@@ -5,7 +5,12 @@ Every command prints a single-line JSON run record to stdout; human-readable
 tables go to stderr.  Numbers serialize via Python's shortest round-trip
 representation, so parsing the record recovers the exact float values.
 Exit codes: 0 success, 2 usage error, 3 numeric-contract violation,
-4 internal error.
+4 internal error.  `transform --numeric`, `trace` and `uncertainty` gate on
+the same checks as their `verify` suites, applied to the one input given:
+exit 3 means one of them failed (the record is still written, and stderr
+names the check).  The bounds are relative 1e-9 for the transform (absolute
+where the closed value underflows to 0) and for the normalized trace, 1e-12
+for the closed uncertainty ratio and 1e-8 for its quadrature ratio.
 
 The `verify` record intentionally omits the timestamp so that two identical
 invocations produce byte-identical JSON; all other commands include an
@@ -18,21 +23,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, bergman_space, oscillator, quadrature, semiclassics, verify
+from . import __version__, bergman_space, quadrature, semiclassics, verify
 from .gaussian_calculus import (
     ComplexPoint,
     GaussianSymbol,
     QuantParams,
     berezin_transform_closed,
-    evaluate,
     taylor_remainder,
 )
 
@@ -42,10 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONTRACT = 3
 EXIT_INTERNAL = 4
-
-TRANSFORM_DEVIATION_LIMIT = 1e-6
-TRACE_DEVIATION_LIMIT = 1e-6
-UNCERTAINTY_RATIO_LIMIT = 1e-9
 
 
 @dataclass
@@ -91,10 +90,6 @@ class RunRecord:
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _complex_json(value: complex) -> dict:
-    return {"re": value.real, "im": value.imag}
 
 
 def parse_point(text: str) -> ComplexPoint:
@@ -147,38 +142,26 @@ def _non_negative_float(text):
     return value
 
 
-def _emit(record: RunRecord) -> None:
-    sys.stdout.write(record.to_json() + "\n")
-
-
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> tuple[RunRecord, list]:
     q = QuantParams(args.alpha)
     symbol = GaussianSymbol(dim=args.n, amplitude=args.amplitude, compression=args.lam)
     closed = berezin_transform_closed(symbol, q)
-    results = {
-        "lambda_prime": closed.compression,
-        "amplitude_prime": closed.amplitude,
-    }
-    exit_code = EXIT_OK
+    results = {"lambda_prime": closed.compression, "amplitude_prime": closed.amplitude}
+    checks = []
     if args.numeric is not None:
         point = parse_point(args.at) if args.at else ComplexPoint.origin(args.n)
         if point.dim != args.n:
             raise ValueError(f"--at has {point.dim} coordinates, expected {args.n}")
-        numeric = quadrature.berezin_transform_numeric(symbol, point, q, order=args.numeric)
-        reference = evaluate(closed, point)
-        deviation = abs(numeric - reference)
-        # a closed value that underflows to 0 leaves only the absolute deviation
-        relative_deviation = deviation / abs(reference) if reference else deviation
-        results["numeric_value"] = _complex_json(numeric)
+        numeric, reference, check = verify.transform_check(symbol, point, q, order=args.numeric)
+        results["numeric_value"] = {"re": numeric.real, "im": numeric.imag}
         results["closed_value_at_point"] = reference
-        results["deviation"] = deviation
-        results["relative_deviation"] = relative_deviation
-        if relative_deviation > TRANSFORM_DEVIATION_LIMIT:
-            exit_code = EXIT_CONTRACT
-    record = RunRecord(
+        results["deviation"] = abs(numeric - reference)
+        results["relative_deviation"] = check.value
+        checks.append(check)
+    return RunRecord(
         command="transform",
         parameters={
             "n": args.n,
@@ -190,60 +173,42 @@ def cmd_transform(args) -> int:
         },
         results=results,
         timestamp=_now(),
-    )
-    _emit(record)
-    return exit_code
+    ), checks
 
 
-def cmd_trace(args) -> int:
-    q = QuantParams(args.alpha)
-    report = bergman_space.purity_index(args.lam, q, dim=args.n)
-    results = {
-        "normalized_trace": report.normalized_trace,
-        "raw_trace": report.raw_trace,
-    }
-    exit_code = EXIT_OK
-    if not args.no_numeric:
-        raw_numeric = bergman_space.purity_raw_numeric(args.lam, q, dim=args.n)
-        normalized_numeric = raw_numeric * report.normalized_trace / report.raw_trace
-        deviation = abs(normalized_numeric - report.normalized_trace)
-        results["normalized_trace_numeric"] = normalized_numeric
-        results["deviation"] = deviation
-        if deviation > TRACE_DEVIATION_LIMIT:
-            exit_code = EXIT_CONTRACT
-    record = RunRecord(
+def cmd_trace(args) -> tuple[RunRecord, list]:
+    report, numeric, check = verify.trace_check(args.lam, QuantParams(args.alpha), args.n)
+    return RunRecord(
         command="trace",
         parameters={"n": args.n, "lambda": args.lam, "alpha": args.alpha},
-        results=results,
+        results={
+            "normalized_trace": report.normalized_trace,
+            "raw_trace": report.raw_trace,
+            "normalized_trace_numeric": numeric,
+            "deviation": abs(numeric - report.normalized_trace),
+            "relative_deviation": check.value,
+        },
         timestamp=_now(),
-    )
-    _emit(record)
-    return exit_code
+    ), [check]
 
 
-def cmd_uncertainty(args) -> int:
-    closed = oscillator.uncertainty_report(args.lam, args.K)
-    numeric = oscillator.uncertainty_quadrature(args.lam, args.K)
-    results = {
-        "var_x": closed.var_x,
-        "var_p": closed.var_p,
-        "rhs": closed.rhs,
-        "ratio": closed.ratio,
-        "norm_sq": closed.norm_sq,
-        "var_x_normalized": closed.var_x_normalized,
-        "var_p_normalized": closed.var_p_normalized,
-        "ratio_quadrature": numeric.ratio,
-    }
-    record = RunRecord(
+def cmd_uncertainty(args) -> tuple[RunRecord, list]:
+    closed, numeric, checks = verify.uncertainty_checks(args.lam, args.K)
+    return RunRecord(
         command="uncertainty",
         parameters={"lambda": args.lam, "K": args.K},
-        results=results,
+        results={
+            "var_x": closed.var_x,
+            "var_p": closed.var_p,
+            "rhs": closed.rhs,
+            "ratio": closed.ratio,
+            "norm_sq": closed.norm_sq,
+            "var_x_normalized": closed.var_x_normalized,
+            "var_p_normalized": closed.var_p_normalized,
+            "ratio_quadrature": numeric.ratio,
+        },
         timestamp=_now(),
-    )
-    _emit(record)
-    if abs(closed.ratio - 1.0) > UNCERTAINTY_RATIO_LIMIT:
-        return EXIT_CONTRACT
-    return EXIT_OK
+    ), checks
 
 
 _SWEEP_QUANTITIES = (
@@ -269,21 +234,15 @@ def _sweep_value(quantity: str, n: int, lam: float, alpha: float) -> float:
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[RunRecord, list]:
     lambdas = parse_grid(args.lambdas) if args.lambdas else [args.lam]
     alphas = parse_grid(args.alphas) if args.alphas else [args.alpha]
-    if any(v < 0 for v in lambdas):
-        raise ValueError("lambda grid values must be non-negative")
-    if any(v <= 0 for v in alphas):
-        raise ValueError("alpha grid values must be positive")
-
+    # the library validates every grid value; rows are complete before the CSV opens
     results: dict = {}
     rows: list[list] = []
     header = ["lambda", "alpha", "n", args.quantity]
     if args.quantity == "expansion_residual":
         # one residual row per alpha; the slope goes into the record
-        if len(alphas) < 3:
-            raise ValueError("expansion_residual sweeps need at least three alphas")
         grid = (0j, 0.3 + 0j, 0.7 + 0j)
         for lam in lambdas:
             symbol = GaussianSymbol(dim=args.n, amplitude=1.0, compression=lam)
@@ -292,8 +251,6 @@ def cmd_sweep(args) -> int:
                 rows.append([lam, alpha, args.n, residual])
             results[f"slope_lambda_{lam}"] = report.fitted_slope
     else:
-        if args.quantity == "normalized_trace" and any(v <= 0 for v in lambdas):
-            raise ValueError("normalized_trace needs positive lambda values")
         for lam in lambdas:
             for alpha in alphas:
                 rows.append([lam, alpha, args.n, _sweep_value(args.quantity, args.n, lam, alpha)])
@@ -305,7 +262,7 @@ def cmd_sweep(args) -> int:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
     results.update({"rows": len(rows), "out": args.out, "last_value": rows[-1][-1]})
-    record = RunRecord(
+    return RunRecord(
         command="sweep",
         parameters={
             "quantity": args.quantity,
@@ -316,12 +273,10 @@ def cmd_sweep(args) -> int:
         },
         results=results,
         timestamp=_now(),
-    )
-    _emit(record)
-    return EXIT_OK
+    ), []
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[RunRecord, list]:
     seed = _default_seed(args)
     checks = verify.run_suites(args.suite, seed=seed)
     all_passed = all(c.passed for c in checks)
@@ -331,7 +286,7 @@ def cmd_verify(args) -> int:
         status = "pass" if c.passed else "FAIL"
         sys.stderr.write(f"{c.suite:<12} {c.name:<{width}} {status:<6} {c.value:.3e} / {c.bound:.3e}\n")
     sys.stderr.write(f"{'all suites passed' if all_passed else 'FAILURES PRESENT'}\n")
-    record = RunRecord(
+    return RunRecord(
         command="verify",
         parameters={"suite": args.suite},
         results={
@@ -342,9 +297,7 @@ def cmd_verify(args) -> int:
         },
         seed=seed,
         timestamp=None,  # byte-identical output for identical invocations
-    )
-    _emit(record)
-    return EXIT_OK if all_passed else EXIT_CONTRACT
+    ), checks
 
 
 # -- parser ----------------------------------------------------------------------
@@ -373,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--n", type=_positive(int), default=1)
     p_trace.add_argument("--lambda", dest="lam", type=_positive(float), required=True)
     p_trace.add_argument("--alpha", type=_positive(float), required=True)
-    p_trace.add_argument("--no-numeric", action="store_true", help="skip the quadrature cross-check")
     p_trace.set_defaults(handler=cmd_trace)
 
     p_unc = sub.add_parser("uncertainty", help="variance identity of the compressed Gaussian state")
@@ -403,7 +355,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        record, checks = args.handler(args)
+        sys.stdout.write(record.to_json() + "\n")
     except quadrature.NumericContractError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONTRACT
@@ -413,6 +366,10 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
+    failed = [c for c in checks if not c.passed]
+    for c in failed:
+        sys.stderr.write(f"error: {c.suite} check '{c.name}' failed: {c.value:.3e} > {c.bound:.3e}\n")
+    return EXIT_CONTRACT if failed else EXIT_OK
 
 
 def entry() -> None:

@@ -50,6 +50,7 @@ from .gaussian_calculus import (
     berezin_transform_closed,
     evaluate,
 )
+from .quadrature import NumericContractError
 
 __all__ = [
     "BRACKET_NORMALIZATION",
@@ -66,9 +67,19 @@ __all__ = [
 BRACKET_NORMALIZATION = 2.0 * math.pi / 1j
 
 
+def _is_integer(k) -> bool:
+    return not isinstance(k, bool) and hasattr(k, "__index__")
+
+
+def _validate_axis(axis, dim: int) -> int:
+    if not (_is_integer(axis) and 0 <= axis < dim):
+        raise ValueError(f"axis {axis!r} is out of range for dim {dim}")
+    return index(axis)
+
+
 def _validate_index(entries, dim: int) -> tuple:
     entries = tuple(entries)
-    if any(isinstance(k, bool) or not hasattr(k, "__index__") for k in entries):
+    if not all(map(_is_integer, entries)):
         raise ValueError(f"multi-index {entries!r} must hold integers")
     idx = tuple(map(index, entries))
     if len(idx) != dim:
@@ -86,8 +97,9 @@ class PolynomialSymbol:
     terms: tuple  # ((beta, gamma, coeff), ...) with complex coeff, no zeros
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not (_is_integer(self.dim) and self.dim >= 1):
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", index(self.dim))
         merged: dict = {}
         for beta, gamma, coeff in self.terms:
             key = (_validate_index(beta, self.dim), _validate_index(gamma, self.dim))
@@ -98,11 +110,15 @@ class PolynomialSymbol:
 
     @classmethod
     def _canonical(cls, dim: int, acc: dict) -> "PolynomialSymbol":
-        """Unvalidated: acc maps library-built (beta, gamma) int tuples to complex."""
+        """Unvalidated but for finiteness: acc maps library-built (beta, gamma) int tuples to complex."""
         self = object.__new__(cls)
         object.__setattr__(self, "dim", dim)
         # keys are unique, so sorting never compares coefficients
-        object.__setattr__(self, "terms", tuple(sorted((b, g, c) for (b, g), c in acc.items() if c)))
+        terms = tuple(sorted((b, g, c) for (b, g), c in acc.items() if c))
+        for b, g, c in terms:
+            if not cmath.isfinite(c):
+                raise NumericContractError(f"coefficient of the term beta={b}, gamma={g} is not finite: {c}")
+        object.__setattr__(self, "terms", terms)
         return self
 
     # -- construction -----------------------------------------------------
@@ -120,12 +136,14 @@ class PolynomialSymbol:
     @classmethod
     def coordinate(cls, dim: int, axis: int = 0) -> "PolynomialSymbol":
         """The symbol z_axis."""
+        axis = _validate_axis(axis, dim)
         beta = tuple(1 if j == axis else 0 for j in range(dim))
         return cls(dim, ((beta, (0,) * dim, 1.0),))
 
     @classmethod
     def conj_coordinate(cls, dim: int, axis: int = 0) -> "PolynomialSymbol":
         """The symbol conj(z_axis)."""
+        axis = _validate_axis(axis, dim)
         gamma = tuple(1 if j == axis else 0 for j in range(dim))
         return cls(dim, (((0,) * dim, gamma, 1.0),))
 
@@ -198,11 +216,11 @@ class PolynomialSymbol:
 
     def deriv_z(self, axis: int) -> "PolynomialSymbol":
         """Holomorphic derivative d/dz_axis."""
-        return PolynomialSymbol._canonical(self.dim, self._derivative(axis, False))
+        return PolynomialSymbol._canonical(self.dim, self._derivative(_validate_axis(axis, self.dim), False))
 
     def deriv_zbar(self, axis: int) -> "PolynomialSymbol":
         """Antiholomorphic derivative d/dconj(z_axis)."""
-        return PolynomialSymbol._canonical(self.dim, self._derivative(axis, True))
+        return PolynomialSymbol._canonical(self.dim, self._derivative(_validate_axis(axis, self.dim), True))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -247,7 +265,7 @@ class PolynomialSymbol:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PolynomialSymbol":
         terms = tuple((t["beta"], t["gamma"], complex(t["re"], t["im"])) for t in data["terms"])
-        return cls(int(data["dim"]), terms)
+        return cls(data["dim"], terms)
 
 
 def _fold(acc: dict, pairs, op) -> dict:

@@ -5,6 +5,11 @@ Each suite re-derives a closed-form claim through an independent route
 spectra, or exact polynomial algebra) and reports uniform checks: a check
 passes when `value <= bound`.  Everything is deterministic for a fixed
 seed, so two identical runs produce identical reports.
+
+Each closed form with a quadrature oracle has one check function, used both
+by its suite (which keeps the worst check over a grid) and by the CLI
+command for a single input: `transform_check` (theorem1), `trace_check`
+(trace) and `uncertainty_checks` (uncertainty).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 from . import bergman_space, oscillator, quadrature, semiclassics
 from .gaussian_calculus import (
     GaussianSymbol,
+    PointLike,
     QuantParams,
     berezin_transform_closed,
     evaluate,
@@ -27,7 +33,7 @@ from .gaussian_calculus import (
 )
 from .semiclassics import PolynomialSymbol
 
-__all__ = ["CheckResult", "SUITE_NAMES", "run_suites"]
+__all__ = ["CheckResult", "SUITE_NAMES", "run_suites", "trace_check", "transform_check", "uncertainty_checks"]
 
 
 @dataclass(frozen=True)
@@ -56,41 +62,46 @@ class CheckResult:
 _THEOREM1_POINTS = (0j, 0.3 + 0j, -0.45 + 0.2j, 0.6j, 0.7 + 0.4j)
 
 
+def _worst(checks: Iterable[CheckResult]) -> CheckResult:
+    return max(checks, key=lambda c: c.value)
+
+
+def transform_check(symbol: GaussianSymbol, z: PointLike, q: QuantParams, order: int = 80) -> tuple:
+    """(numeric, closed value, check) at z: the relative deviation, absolute
+    where the closed value underflows to 0; bound 1e-9."""
+    numeric = quadrature.berezin_transform_numeric(symbol, z, q, order=order)
+    reference = evaluate(berezin_transform_closed(symbol, q), z)
+    deviation = abs(numeric - reference)
+    relative = deviation / abs(reference) if reference else deviation
+    name = f"quadrature-match lam={symbol.compression} alpha={q.alpha}"
+    return numeric, reference, CheckResult("theorem1", name, relative, 1e-9)
+
+
 def _suite_theorem1(seed: int) -> list[CheckResult]:
-    checks = []
-    for lam in (0.5, 1.0, 2.0):
-        for alpha in (0.5, 1.0, 5.0, 50.0):
-            q = QuantParams(alpha)
-            symbol = GaussianSymbol(dim=1, amplitude=1.0, compression=lam)
-            closed = berezin_transform_closed(symbol, q)
-            worst = 0.0
-            for z in _THEOREM1_POINTS:
-                numeric = quadrature.berezin_transform_numeric(symbol, z, q, order=80)
-                reference = evaluate(closed, z)
-                worst = max(worst, abs(numeric - reference) / abs(reference))
-            checks.append(
-                CheckResult("theorem1", f"quadrature-match lam={lam} alpha={alpha}", worst, 1e-9)
-            )
-    return checks
+    return [
+        _worst(transform_check(GaussianSymbol(1, 1.0, lam), z, QuantParams(alpha))[2] for z in _THEOREM1_POINTS)
+        for lam in (0.5, 1.0, 2.0)
+        for alpha in (0.5, 1.0, 5.0, 50.0)
+    ]
 
 
 # -- suite: normalized trace -------------------------------------------------
 
 
-def _suite_trace(seed: int) -> list[CheckResult]:
-    checks = []
-    for dim in (1, 2, 3):
-        for lam, alpha in ((1.0, 1.0), (0.5, 2.0), (2.0, 5.0)):
-            q = QuantParams(alpha)
-            report = bergman_space.purity_index(lam, q, dim=dim)
-            raw_numeric = bergman_space.purity_raw_numeric(lam, q, dim=dim, order=80)
-            scale = report.raw_trace / report.normalized_trace
-            normalized_numeric = raw_numeric / scale
-            rel = abs(normalized_numeric - report.normalized_trace) / report.normalized_trace
-            checks.append(
-                CheckResult("trace", f"quadrature-match n={dim} lam={lam} alpha={alpha}", rel, 1e-9)
-            )
+def trace_check(lam: float, q: QuantParams, dim: int, order: int = 80) -> tuple:
+    """(purity report, numeric normalized trace, check): the relative
+    deviation of the normalized trace; bound 1e-9."""
+    report = bergman_space.purity_index(lam, q, dim=dim)
+    raw_numeric = bergman_space.purity_raw_numeric(lam, q, dim=dim, order=order)
+    normalized_numeric = raw_numeric / (report.raw_trace / report.normalized_trace)
+    rel = abs(normalized_numeric - report.normalized_trace) / report.normalized_trace
+    name = f"quadrature-match n={dim} lam={report.lam} alpha={q.alpha}"
+    return report, normalized_numeric, CheckResult("trace", name, rel, 1e-9)
 
+
+def _suite_trace(seed: int) -> list[CheckResult]:
+    grid = ((1.0, 1.0), (0.5, 2.0), (2.0, 5.0))
+    checks = [trace_check(lam, QuantParams(alpha), dim)[2] for dim in (1, 2, 3) for lam, alpha in grid]
     exact_mismatches = 0.0
     for dim, expected in ((1, 0.5), (2, 0.25), (3, 0.125)):
         if bergman_space.purity_index(1.0, QuantParams(1.0), dim=dim).normalized_trace != expected:
@@ -212,19 +223,20 @@ def _suite_star(seed: int) -> list[CheckResult]:
 # -- suite: uncertainty equality --------------------------------------------------
 
 
-def _suite_uncertainty(seed: int) -> list[CheckResult]:
-    worst_closed = 0.0
-    worst_quad = 0.0
-    for lam in (0.1, 0.5, 1.0, 2.0, 10.0):
-        for amplitude in (0.5, 1.0, 3.0):
-            closed = oscillator.uncertainty_report(lam, amplitude)
-            worst_closed = max(worst_closed, abs(closed.ratio - 1.0))
-            numeric = oscillator.uncertainty_quadrature(lam, amplitude, order=80)
-            worst_quad = max(worst_quad, abs(numeric.ratio - 1.0))
-    return [
-        CheckResult("uncertainty", "closed-form ratio equals 1", worst_closed, 1e-12),
-        CheckResult("uncertainty", "quadrature-moment ratio equals 1", worst_quad, 1e-8),
+def uncertainty_checks(lam: float, amplitude: float, order: int = 80) -> tuple:
+    """(closed report, quadrature report, checks): each ratio against 1,
+    bound 1e-12 for the closed one and 1e-8 for the quadrature one."""
+    closed = oscillator.uncertainty_report(lam, amplitude)
+    numeric = oscillator.uncertainty_quadrature(lam, amplitude, order=order)
+    return closed, numeric, [
+        CheckResult("uncertainty", "closed-form ratio equals 1", abs(closed.ratio - 1.0), 1e-12),
+        CheckResult("uncertainty", "quadrature-moment ratio equals 1", abs(numeric.ratio - 1.0), 1e-8),
     ]
+
+
+def _suite_uncertainty(seed: int) -> list[CheckResult]:
+    grid = [uncertainty_checks(lam, k)[2] for lam in (0.1, 0.5, 1.0, 2.0, 10.0) for k in (0.5, 1.0, 3.0)]
+    return [_worst(column) for column in zip(*grid)]
 
 
 # -- suite: oscillator spectrum ------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI contract: JSON records, exit codes, sweeps, determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+from berezin import bergman_space, oscillator, verify
 from berezin.cli import RunRecord, main, parse_grid, parse_point
+from berezin.gaussian_calculus import GaussianSymbol, QuantParams
 from berezin.quadrature import NumericContractError
 
 
@@ -133,6 +136,31 @@ class TestTransformCommand:
         assert results["closed_value_at_point"] == 0.0
         assert results["relative_deviation"] == results["deviation"] == 0.0
 
+    def test_order_40_miss_fails_contract(self, capsys):
+        # at lambda/alpha = 4 an order-40 rule misses the closed form by 1.5e-7 relative
+        code, out, err = run_cli(
+            capsys,
+            "transform", "--n", "1", "--lambda", "2", "--alpha", "0.5", "--numeric", "40",
+        )
+        assert code == 3
+        assert record_of(out)["results"]["relative_deviation"] > 1e-9
+        assert "quadrature-match lam=2.0 alpha=0.5" in err
+
+    def test_relative_deviation_is_the_verify_check(self, capsys):
+        at = "0.3,-0.2;1.1,0.4"
+        code, out, _ = run_cli(
+            capsys,
+            "transform", "--n", "2", "--lambda", "1.5", "--alpha", "0.7", "--numeric", "60", "--at", at,
+        )
+        assert code == 0
+        results = record_of(out)["results"]
+        symbol = GaussianSymbol(dim=2, amplitude=1.0, compression=1.5)
+        numeric, reference, check = verify.transform_check(symbol, parse_point(at), QuantParams(0.7), order=60)
+        assert results["relative_deviation"] == check.value
+        assert results["numeric_value"] == {"re": numeric.real, "im": numeric.imag}
+        assert results["closed_value_at_point"] == reference
+        assert check.bound == 1e-9
+
     def test_overflowing_rule_names_node(self, capsys):
         # at alpha=1e-310 the rule nodes overflow; the error names one instead of emitting NaN
         with np.errstate(over="ignore", invalid="ignore"):
@@ -190,10 +218,30 @@ class TestTraceCommand:
         assert record_of(out)["results"]["normalized_trace"] == 0.125
 
     def test_classical_limit(self, capsys):
-        code, out, _ = run_cli(capsys, "trace", "--n", "1", "--lambda", "1", "--alpha", "1e6", "--no-numeric")
+        code, out, _ = run_cli(capsys, "trace", "--n", "1", "--lambda", "1", "--alpha", "1e6")
         assert code == 0
-        value = record_of(out)["results"]["normalized_trace"]
-        assert value == pytest.approx(0.999998500003375, rel=1e-12)
+        results = record_of(out)["results"]
+        assert results["normalized_trace"] == pytest.approx(0.999998500003375, rel=1e-12)
+        assert results["relative_deviation"] <= 1e-12
+
+    def test_records_relative_deviation(self, capsys):
+        code, out, _ = run_cli(capsys, "trace", "--n", "2", "--lambda", "0.5", "--alpha", "2")
+        assert code == 0
+        results = record_of(out)["results"]
+        _, numeric, check = verify.trace_check(0.5, QuantParams(2.0), 2)
+        assert results["relative_deviation"] == check.value <= 1e-12
+        assert results["normalized_trace_numeric"] == numeric
+        assert results["deviation"] == abs(numeric - results["normalized_trace"])
+
+    def test_zero_numeric_trace_fails_contract(self, capsys, monkeypatch):
+        # the normalized trace is 6.1e-15 here: an absolute bound would pass a numeric 0
+        monkeypatch.setattr(bergman_space, "purity_raw_numeric", lambda *args, **kwargs: 0.0)
+        code, out, err = run_cli(capsys, "trace", "--n", "3", "--lambda", "1e3", "--alpha", "1e-6")
+        assert code == 3
+        results = record_of(out)["results"]
+        assert results["normalized_trace_numeric"] == 0.0
+        assert results["relative_deviation"] == 1.0
+        assert "trace check" in err
 
 
 class TestUncertaintyCommand:
@@ -208,6 +256,17 @@ class TestUncertaintyCommand:
         code, out, _ = run_cli(capsys, "uncertainty", "--lambda", "0.1", "--K", "2")
         assert code == 0
         assert abs(record_of(out)["results"]["ratio"] - 1.0) <= 1e-12
+
+    def test_quadrature_ratio_gates_exit(self, capsys, monkeypatch):
+        closed = oscillator.uncertainty_report(1.0, 1.0)
+        wrong = dataclasses.replace(closed, ratio=0.5)
+        monkeypatch.setattr(oscillator, "uncertainty_quadrature", lambda *args, **kwargs: wrong)
+        code, out, err = run_cli(capsys, "uncertainty", "--lambda", "1")
+        assert code == 3
+        results = record_of(out)["results"]
+        assert results["ratio"] == 1.0
+        assert results["ratio_quadrature"] == 0.5
+        assert "quadrature-moment ratio equals 1" in err
 
     def test_negative_compression_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -254,6 +313,23 @@ class TestSweepCommand:
         assert code == 0
         record = record_of(out)
         assert record["results"]["slope_lambda_1.0"] == pytest.approx(-1.0, abs=0.1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--quantity", "normalized_trace", "--lambdas", "1,0"),
+            ("--quantity", "lambda_prime", "--lambdas", "1,-1"),
+            ("--quantity", "amplitude_prime", "--alphas", "1,0"),
+            ("--quantity", "expansion_residual", "--alphas", "10,100"),
+        ],
+    )
+    def test_bad_grid_exits_two_without_file(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "bad.csv"
+        code, out, err = run_cli(capsys, "sweep", *argv, "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not out_path.exists()
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

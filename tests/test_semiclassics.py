@@ -21,6 +21,7 @@ from berezin import (
     wick_star,
 )
 from berezin import semiclassics
+from berezin.quadrature import NumericContractError
 from berezin.verify import _random_polynomial
 
 Z = PolynomialSymbol.coordinate(1)
@@ -102,6 +103,52 @@ class TestPolynomialSymbol:
             PolynomialSymbol(1, (((0,), (0,), 1e308), ((0,), (0,), 1e308)))
         with pytest.raises(ValueError, match="finite"):
             Z * bad
+
+    Z1_PLUS_Z2_SQUARED = PolynomialSymbol(2, (((1, 0), (0, 0), 1.0), ((0, 2), (0, 0), 1.0)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PolynomialSymbol.coordinate(1, 5),
+            lambda: PolynomialSymbol.conj_coordinate(2, -1),
+            lambda: PolynomialSymbol.coordinate(2, True),
+            lambda: TestPolynomialSymbol.Z1_PLUS_Z2_SQUARED.deriv_z(-1),
+            lambda: Z.deriv_zbar(1),
+            lambda: Z.deriv_z(0.0),
+        ],
+        ids=["coordinate", "conj_coordinate", "bool", "deriv_z", "deriv_zbar", "float"],
+    )
+    def test_axis_out_of_range_rejected(self, build):
+        with pytest.raises(ValueError, match=r"axis .* is out of range for dim"):
+            build()
+
+    def test_numpy_integer_axis_accepted(self):
+        z2 = PolynomialSymbol.coordinate(2, np.int64(1))
+        assert z2.terms == (((0, 1), (0, 0), 1.0 + 0j),)
+        assert z2.deriv_z(np.int32(1)) == PolynomialSymbol.constant(2, 1.0)
+
+    @pytest.mark.parametrize("dim", [1.9, 2.0, True, "2"])
+    def test_non_integer_dim_rejected(self, dim):
+        data = {"dim": dim, "terms": [{"beta": [0, 0], "gamma": [1, 0], "re": 1.0, "im": 0.0}]}
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            PolynomialSymbol.from_json_dict(data)
+
+    def test_numpy_integer_dim_accepted(self):
+        p = PolynomialSymbol(np.int64(1), (((1,), (0,), 1.0),))
+        assert type(p.dim) is int and p == Z
+
+    def test_overflowing_results_refused(self):
+        f = PolynomialSymbol(1, (((2,), (1,), 1e200), ((0,), (0,), 2.0)))
+        g = PolynomialSymbol(1, (((1,), (2,), 1e200), ((1,), (0,), 1.0)))
+        with pytest.raises(NumericContractError, match=r"term beta=\(\d+,\), gamma=\(\d+,\) is not finite"):
+            wick_star(f, g, QuantParams(1.0))
+        with pytest.raises(NumericContractError, match="is not finite"):
+            quantization_condition_residual(f, g)
+        with pytest.raises(NumericContractError, match="is not finite"):
+            f.scaled(1e200)
+        big = f.scaled(1.5e108)
+        with pytest.raises(NumericContractError, match="is not finite"):
+            big + big
 
     def test_results_are_not_revalidated(self, monkeypatch):
         rng = np.random.default_rng(31)
