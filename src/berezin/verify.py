@@ -67,19 +67,20 @@ def _worst(checks: Iterable[CheckResult]) -> CheckResult:
 
 
 def transform_check(symbol: GaussianSymbol, z: PointLike, q: QuantParams, order: int = 80) -> tuple:
-    """(numeric, closed value, check) at z: the relative deviation, absolute
-    where the closed value underflows to 0; bound 1e-9."""
+    """(numeric, closed value, absolute deviation, check) at z: the check
+    holds the relative deviation, absolute where the closed value underflows
+    to 0; bound 1e-9."""
     numeric = quadrature.berezin_transform_numeric(symbol, z, q, order=order)
     reference = evaluate(berezin_transform_closed(symbol, q), z)
     deviation = abs(numeric - reference)
     relative = deviation / abs(reference) if reference else deviation
     name = f"quadrature-match lam={symbol.compression} alpha={q.alpha}"
-    return numeric, reference, CheckResult("theorem1", name, relative, 1e-9)
+    return numeric, reference, deviation, CheckResult("theorem1", name, relative, 1e-9)
 
 
 def _suite_theorem1(seed: int) -> list[CheckResult]:
     return [
-        _worst(transform_check(GaussianSymbol(1, 1.0, lam), z, QuantParams(alpha))[2] for z in _THEOREM1_POINTS)
+        _worst(transform_check(GaussianSymbol(1, 1.0, lam), z, QuantParams(alpha))[-1] for z in _THEOREM1_POINTS)
         for lam in (0.5, 1.0, 2.0)
         for alpha in (0.5, 1.0, 5.0, 50.0)
     ]
@@ -88,20 +89,22 @@ def _suite_theorem1(seed: int) -> list[CheckResult]:
 # -- suite: normalized trace -------------------------------------------------
 
 
-def trace_check(lam: float, q: QuantParams, dim: int, order: int = 80) -> tuple:
-    """(purity report, numeric normalized trace, check): the relative
-    deviation of the normalized trace; bound 1e-9."""
+def trace_check(lam: float, q: QuantParams, dim: int) -> tuple:
+    """(purity report, numeric normalized trace, absolute deviation, check):
+    the check holds the relative deviation of the normalized trace; bound
+    1e-9."""
     report = bergman_space.purity_index(lam, q, dim=dim)
-    raw_numeric = bergman_space.purity_raw_numeric(lam, q, dim=dim, order=order)
+    raw_numeric = bergman_space.purity_raw_numeric(lam, q, dim=dim)
     normalized_numeric = raw_numeric / (report.raw_trace / report.normalized_trace)
-    rel = abs(normalized_numeric - report.normalized_trace) / report.normalized_trace
+    deviation = abs(normalized_numeric - report.normalized_trace)
     name = f"quadrature-match n={dim} lam={report.lam} alpha={q.alpha}"
-    return report, normalized_numeric, CheckResult("trace", name, rel, 1e-9)
+    check = CheckResult("trace", name, deviation / report.normalized_trace, 1e-9)
+    return report, normalized_numeric, deviation, check
 
 
 def _suite_trace(seed: int) -> list[CheckResult]:
     grid = ((1.0, 1.0), (0.5, 2.0), (2.0, 5.0))
-    checks = [trace_check(lam, QuantParams(alpha), dim)[2] for dim in (1, 2, 3) for lam, alpha in grid]
+    checks = [trace_check(lam, QuantParams(alpha), dim)[-1] for dim in (1, 2, 3) for lam, alpha in grid]
     exact_mismatches = 0.0
     for dim, expected in ((1, 0.5), (2, 0.25), (3, 0.125)):
         if bergman_space.purity_index(1.0, QuantParams(1.0), dim=dim).normalized_trace != expected:
@@ -223,11 +226,11 @@ def _suite_star(seed: int) -> list[CheckResult]:
 # -- suite: uncertainty equality --------------------------------------------------
 
 
-def uncertainty_checks(lam: float, amplitude: float, order: int = 80) -> tuple:
+def uncertainty_checks(lam: float, amplitude: float) -> tuple:
     """(closed report, quadrature report, checks): each ratio against 1,
     bound 1e-12 for the closed one and 1e-8 for the quadrature one."""
     closed = oscillator.uncertainty_report(lam, amplitude)
-    numeric = oscillator.uncertainty_quadrature(lam, amplitude, order=order)
+    numeric = oscillator.uncertainty_quadrature(lam, amplitude)
     return closed, numeric, [
         CheckResult("uncertainty", "closed-form ratio equals 1", abs(closed.ratio - 1.0), 1e-12),
         CheckResult("uncertainty", "quadrature-moment ratio equals 1", abs(numeric.ratio - 1.0), 1e-8),
@@ -235,7 +238,7 @@ def uncertainty_checks(lam: float, amplitude: float, order: int = 80) -> tuple:
 
 
 def _suite_uncertainty(seed: int) -> list[CheckResult]:
-    grid = [uncertainty_checks(lam, k)[2] for lam in (0.1, 0.5, 1.0, 2.0, 10.0) for k in (0.5, 1.0, 3.0)]
+    grid = [uncertainty_checks(lam, k)[-1] for lam in (0.1, 0.5, 1.0, 2.0, 10.0) for k in (0.5, 1.0, 3.0)]
     return [_worst(column) for column in zip(*grid)]
 
 

@@ -155,8 +155,10 @@ class TestTransformCommand:
         assert code == 0
         results = record_of(out)["results"]
         symbol = GaussianSymbol(dim=2, amplitude=1.0, compression=1.5)
-        numeric, reference, check = verify.transform_check(symbol, parse_point(at), QuantParams(0.7), order=60)
+        point = parse_point(at)
+        numeric, reference, deviation, check = verify.transform_check(symbol, point, QuantParams(0.7), order=60)
         assert results["relative_deviation"] == check.value
+        assert results["deviation"] == deviation == abs(numeric - reference)
         assert results["numeric_value"] == {"re": numeric.real, "im": numeric.imag}
         assert results["closed_value_at_point"] == reference
         assert check.bound == 1e-9
@@ -228,10 +230,10 @@ class TestTraceCommand:
         code, out, _ = run_cli(capsys, "trace", "--n", "2", "--lambda", "0.5", "--alpha", "2")
         assert code == 0
         results = record_of(out)["results"]
-        _, numeric, check = verify.trace_check(0.5, QuantParams(2.0), 2)
+        _, numeric, deviation, check = verify.trace_check(0.5, QuantParams(2.0), 2)
         assert results["relative_deviation"] == check.value <= 1e-12
         assert results["normalized_trace_numeric"] == numeric
-        assert results["deviation"] == abs(numeric - results["normalized_trace"])
+        assert results["deviation"] == deviation == abs(numeric - results["normalized_trace"])
 
     def test_zero_numeric_trace_fails_contract(self, capsys, monkeypatch):
         # the normalized trace is 6.1e-15 here: an absolute bound would pass a numeric 0
@@ -348,6 +350,15 @@ class TestVerifyCommand:
         assert record["seed"] == 7
         assert "timestamp" not in record
         assert "pass" in err
+
+    def test_failure_reported_once(self, capsys, monkeypatch):
+        failing = verify.CheckResult("star", "forced failure", 1.0, 0.0)
+        monkeypatch.setattr(verify, "run_suites", lambda *args, **kwargs: [failing])
+        code, out, err = run_cli(capsys, "verify", "--suite", "star")
+        assert code == 3
+        assert record_of(out)["results"]["failed"] == 1
+        assert err.count("forced failure") == 1
+        assert "FAIL" in err and "error:" not in err
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "expansion", "--seed", "3")
