@@ -24,6 +24,7 @@ import numpy as np
 from .gaussian_calculus import (
     ComplexPoint,
     GaussianSymbol,
+    NumericContractError,
     PointLike,
     QuantParams,
     _half_power,
@@ -125,11 +126,12 @@ def trace_numeric(g: GaussianSymbol, q: QuantParams, order: int = 80) -> float:
 def _squared_transform(lam: float, q: QuantParams, dim: int) -> GaussianSymbol:
     # square of the transformed unit-amplitude Gaussian of compression lam
     transformed = berezin_transform_closed(GaussianSymbol(dim=dim, amplitude=1.0, compression=lam), q)
-    return GaussianSymbol(
-        dim=dim,
-        amplitude=transformed.amplitude**2,
-        compression=2.0 * transformed.compression,
-    )
+    amplitude = transformed.amplitude**2
+    if amplitude == 0.0:
+        raise NumericContractError(
+            f"squared transformed amplitude underflows to 0 at lambda={lam!r}, alpha={q.alpha!r}, n={dim}"
+        )
+    return GaussianSymbol(dim=dim, amplitude=amplitude, compression=2.0 * transformed.compression)
 
 
 def purity_index(lam: float, q: QuantParams, dim: int = 1) -> TraceReport:

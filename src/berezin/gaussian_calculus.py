@@ -23,6 +23,7 @@ from typing import Sequence, Union
 __all__ = [
     "ComplexPoint",
     "GaussianSymbol",
+    "NumericContractError",
     "QuantParams",
     "as_point",
     "berezin_transform_closed",
@@ -36,6 +37,10 @@ __all__ = [
 ]
 
 PointLike = Union["ComplexPoint", complex, float, Sequence[complex]]
+
+
+class NumericContractError(ValueError):
+    """A numeric result is not a finite number the contract can vouch for."""
 
 
 @dataclass(frozen=True)
@@ -156,14 +161,17 @@ def berezin_transform_closed(g: GaussianSymbol, q: QuantParams) -> GaussianSymbo
     amplitude' = amplitude * (alpha/(alpha + lam))^(n/2)
     compression' = alpha*lam/(alpha + lam)
 
-    Linear in the amplitude; compression 0 is a fixed point.
+    Linear in the amplitude; compression 0 is a fixed point.  An amplitude'
+    below the double range raises NumericContractError.
     """
     ratio = q.alpha / (q.alpha + g.compression)
-    return GaussianSymbol(
-        dim=g.dim,
-        amplitude=g.amplitude * _half_power(ratio, g.dim),
-        compression=g.compression * ratio,
-    )
+    amplitude = g.amplitude * _half_power(ratio, g.dim)
+    if amplitude == 0.0:
+        raise NumericContractError(
+            f"transformed amplitude underflows to 0 at amplitude={g.amplitude!r}, "
+            f"lambda={g.compression!r}, alpha={q.alpha!r}, n={g.dim}"
+        )
+    return GaussianSymbol(dim=g.dim, amplitude=amplitude, compression=g.compression * ratio)
 
 
 def heat_evolve(g: GaussianSymbol, q: QuantParams) -> GaussianSymbol:

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import gauss_hermite, integrate
+from .quadrature import NumericContractError, gauss_hermite, integrate
 
 __all__ = [
     "GridSpec",
@@ -263,6 +263,17 @@ def _validate_uncertainty_args(lam: float, amplitude: float) -> tuple[float, flo
     return lam, amplitude
 
 
+def _report(lam: float, amplitude: float, **moments: float) -> UncertaintyReport:
+    # each moment is finite in exact arithmetic, and rhs and norm_sq, which
+    # divide the ratio and the normalized variances, are positive; a double
+    # that overflows, or a divisor that underflows to 0, cannot stand for them
+    for name, value in moments.items():
+        if not math.isfinite(value) or (value == 0.0 and name in ("rhs", "norm_sq")):
+            raise NumericContractError(f"{name} = {value!r} is out of the double range at lambda={lam!r}, K={amplitude!r}")
+    ratio = moments["var_x"] * moments["var_p"] / moments["rhs"]
+    return UncertaintyReport(lam=lam, amplitude=amplitude, ratio=ratio, **moments)
+
+
 def uncertainty_report(lam: float, amplitude: float = 1.0) -> UncertaintyReport:
     """Closed-form moments of psi = K exp(-lam*x^2/(2*(1+lam))).
 
@@ -274,18 +285,14 @@ def uncertainty_report(lam: float, amplitude: float = 1.0) -> UncertaintyReport:
     k2 = amplitude * amplitude
     sqrt_pi = math.sqrt(math.pi)
     one = 1.0 + lam
-    var_x = k2 * sqrt_pi * one * math.sqrt(one) / (2.0 * lam * math.sqrt(lam))
-    var_p = k2 * sqrt_pi * math.sqrt(lam) / (2.0 * math.sqrt(one))
-    rhs = k2 * k2 * math.pi * one / (4.0 * lam)
-    norm_sq = k2 * math.sqrt(math.pi * one / lam)
-    return UncertaintyReport(
-        lam=lam,
-        amplitude=amplitude,
-        var_x=var_x,
-        var_p=var_p,
-        rhs=rhs,
-        ratio=var_x * var_p / rhs,
-        norm_sq=norm_sq,
+    denominator = 2.0 * lam * math.sqrt(lam)  # 0 where lambda^(3/2) underflows
+    return _report(
+        lam,
+        amplitude,
+        var_x=k2 * sqrt_pi * one * math.sqrt(one) / denominator if denominator else math.inf,
+        var_p=k2 * sqrt_pi * math.sqrt(lam) / (2.0 * math.sqrt(one)),
+        rhs=k2 * k2 * math.pi * one / (4.0 * lam),
+        norm_sq=k2 * math.sqrt(math.pi * one / lam),
     )
 
 
@@ -303,13 +310,4 @@ def uncertainty_quadrature(lam: float, amplitude: float = 1.0, order: int = 80) 
     mass = float(integrate(lambda u: np.ones_like(u), rules, scale=a))
     var_x = k2 * second_moment
     var_p = k2 * a * a * second_moment
-    rhs = 0.25 * (k2 * mass) ** 2
-    return UncertaintyReport(
-        lam=lam,
-        amplitude=amplitude,
-        var_x=var_x,
-        var_p=var_p,
-        rhs=rhs,
-        ratio=var_x * var_p / rhs,
-        norm_sq=k2 * mass,
-    )
+    return _report(lam, amplitude, var_x=var_x, var_p=var_p, rhs=0.25 * (k2 * mass) ** 2, norm_sq=k2 * mass)

@@ -1,14 +1,19 @@
 """Independent numerical-integration oracle.
 
-Gauss-Hermite rules start from the Jacobi matrix of the Hermite recurrence
-(Golub & Welsch, Math. Comp. 23, 1969): its eigenvalues, with off-diagonal
-sqrt(k/2), approximate the nodes.  Two Newton steps on the normalized
-Hermite function psi_m refine them, and the weights follow from the same
-functions as exp(-x^2) / sum_{k<m} psi_k(x)^2 (Townsend, Trogdon & Olver,
-IMA J. Numer. Anal. 36, 2016).  psi_k = p_k * exp(-x^2/2) neither
-overflows nor loses relative accuracy, so every weight, down to the
-outermost, is accurate to a few ulps.  An order-m rule integrates
-t^k * exp(-t^2) exactly for k <= 2m-1.
+Gauss-Hermite rules start from the Jacobi matrix of an orthogonal-polynomial
+recurrence (Golub & Welsch, Math. Comp. 23, 1969).  The Hermite weight is
+even, so the problem halves: the squared positive nodes of the order-m rule
+are the eigenvalues of the floor(m/2)-square Jacobi matrix of the Laguerre
+weight t^a exp(-t), a = -1/2 for even m and +1/2 for odd m (which adds the
+node 0).  Two Newton steps on the normalized Hermite function psi_m refine
+the non-negative nodes, the second pass also yields the weights
+exp(-x^2) / sum_{k<m} psi_k(x)^2 (Townsend, Trogdon & Olver, IMA J. Numer.
+Anal. 36, 2016), and the rule is mirrored about 0.  psi_k = p_k *
+exp(-x^2/2) neither overflows nor loses relative accuracy, so every weight,
+down to the outermost, is accurate to a few ulps.  An order-m rule
+integrates t^k * exp(-t^2) exactly for k <= 2m-1.  The 16 most recently
+used rules are cached: they are frozen, read-only values, so callers share
+them.
 
 `berezin_transform_numeric` evaluates the smoothing-transform integral
 
@@ -33,13 +38,14 @@ results are reproducible run-to-run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .gaussian_calculus import GaussianSymbol, PointLike, QuantParams, as_point
+from .gaussian_calculus import GaussianSymbol, NumericContractError, PointLike, QuantParams, as_point
 
 __all__ = [
     "MonteCarloConfig",
@@ -54,10 +60,7 @@ __all__ = [
 
 MAX_RULE_ORDER = 360
 MAX_TENSOR_DIM = 4
-
-
-class NumericContractError(ValueError):
-    """A numeric result is not a finite number the contract can vouch for."""
+RULE_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,8 @@ def tree_sum(values):
     return a[0]
 
 
-def _hermite_functions(x: np.ndarray, order: int):
-    """psi_{m-1}(x), psi_m(x) and sum_{k<m} psi_k(x)^2 for m = order.
+def _hermite_functions(x: np.ndarray, order: int, squares: bool = False):
+    """psi_{m-1}(x), psi_m(x) and, if asked, sum_{k<m} psi_k(x)^2 for m = order.
 
     psi_k are the normalized Hermite functions, orthonormal on the real
     line:  psi_0 = pi^(-1/4) exp(-x^2/2),
@@ -132,42 +135,59 @@ def _hermite_functions(x: np.ndarray, order: int):
     """
     previous = np.zeros_like(x)
     current = math.pi**-0.25 * np.exp(-0.5 * x * x)
-    squares = np.zeros_like(x)
+    total = np.zeros_like(x) if squares else None
     for k in range(order):
-        squares += current * current
+        if squares:
+            total += current * current
         previous, current = current, math.sqrt(2.0 / (k + 1)) * x * current - math.sqrt(k / (k + 1)) * previous
-    return previous, current, squares
+    return previous, current, total
 
 
 def gauss_hermite(order: int) -> QuadratureRule1D:
-    """Build the order-m Gauss-Hermite rule for the weight exp(-t^2).
+    """The order-m Gauss-Hermite rule for the weight exp(-t^2).
 
-    The Jacobi-matrix eigenvalues seed two Newton steps on psi_m, with
-    psi_m' = sqrt(2m) psi_{m-1} - x psi_m; the weights are
-    exp(-x^2 - log sum_{k<m} psi_k(x)^2).  Nodes are symmetrized about 0 in
-    exact arithmetic and weights are symmetrized too; the weights sum to
-    sqrt(pi) up to round-off.
+    The squared positive nodes start as the eigenvalues of the
+    floor(m/2)-square Laguerre Jacobi matrix (diagonal 2k+a+1, off-diagonal
+    sqrt(k(k+a)), a = -1/2 for even m, +1/2 and the node 0 for odd m).  Two
+    Newton steps on psi_m, with psi_m' = sqrt(2m) psi_{m-1} - x psi_m,
+    refine the non-negative nodes; the second one also sums the weights
+    exp(-x^2 - log sum_{k<m} psi_k(x)^2) at the nodes it starts from.  The
+    rule is then mirrored, so nodes and weights are exactly symmetric about
+    0; the weights sum to sqrt(pi) up to round-off.
 
     Orders stop at 360 because every weight must be a normal double: the
     outermost weight is 8.5e-300 at m = 360, 2.4e-308 at m = 370, and
     sub-normal from m = 371 on.  At m = 512, 34 true weights lie below
     1e-308, so a rule of that order cannot be represented.
+
+    The order is validated on every call; the rule comes from a cache of
+    the 16 most recently used orders, so a repeated order returns the same
+    object.
     """
-    if not isinstance(order, int) or not 1 <= order <= MAX_RULE_ORDER:
+    if isinstance(order, bool) or not isinstance(order, int) or not 1 <= order <= MAX_RULE_ORDER:
         raise ValueError(f"order must be an integer in [1, {MAX_RULE_ORDER}], got {order!r}")
-    jacobi = np.zeros((order, order))
-    np.fill_diagonal(jacobi[1:], np.sqrt(np.arange(1, order) / 2.0))  # the sub-diagonal
-    nodes = np.linalg.eigvalsh(jacobi)  # reads the lower triangle only
-    for _ in range(2):
-        previous, current, _ = _hermite_functions(nodes, order)
+    return _build_rule(order)
+
+
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def _build_rule(order: int) -> QuadratureRule1D:
+    half = order // 2
+    a = 0.5 if order % 2 else -0.5
+    k = np.arange(half, dtype=np.float64)
+    jacobi = np.diag(2.0 * k + a + 1.0)
+    np.fill_diagonal(jacobi[1:], np.sqrt(k[1:] * (k[1:] + a)))  # the sub-diagonal
+    nodes = np.sqrt(np.linalg.eigvalsh(jacobi))  # reads the lower triangle only
+    if order % 2:
+        # psi_m is odd, so psi_m(0) = 0 exactly and Newton keeps this node at 0
+        nodes = np.concatenate(([0.0], nodes))
+    for squares in (False, True):
+        previous, current, total = _hermite_functions(nodes, order, squares)
+        if squares:
+            weights = np.exp(-nodes * nodes - np.log(total))
         nodes = nodes - current / (math.sqrt(2.0 * order) * previous - nodes * current)
-        # enforce the exact +/- symmetry of the rule
-        nodes = 0.5 * (nodes - nodes[::-1])
-        if order % 2:
-            nodes[order // 2] = 0.0
-    _, _, squares = _hermite_functions(nodes, order)
-    weights = np.exp(-nodes * nodes - np.log(squares))
-    weights = 0.5 * (weights + weights[::-1])
+    mirrored = slice(order % 2, None)  # the node 0 is not mirrored
+    nodes = np.concatenate((-nodes[mirrored][::-1], nodes))
+    weights = np.concatenate((weights[mirrored][::-1], weights))
     return QuadratureRule1D(nodes, weights, order)
 
 
@@ -273,17 +293,6 @@ def berezin_transform_numeric(
     return complex(integrate(centred, [rule] * (2 * n)) / math.pi**n)
 
 
-def _eval_on_samples(f, coords):
-    if isinstance(f, GaussianSymbol):
-        if f.dim != len(coords):
-            raise ValueError(f"dimension mismatch: symbol dim {f.dim}, point dim {len(coords)}")
-        expo = np.zeros(coords[0].shape, dtype=np.float64)
-        for c in coords:
-            expo -= f.compression * np.real(c) ** 2
-        return f.amplitude * np.exp(expo)
-    return np.asarray(f(*coords))
-
-
 def monte_carlo_transform(
     f: Union[GaussianSymbol, Callable],
     z: PointLike,
@@ -296,22 +305,29 @@ def monte_carlo_transform(
     Gaussian probability density (alpha/pi)^n exp(-alpha*|w-z|^2), so the
     estimator importance-samples w from it and averages f(w).  Returns
     (mean, standard error); a fixed seed reproduces the estimate
-    bit-for-bit.
+    bit-for-bit.  A GaussianSymbol depends only on Re w, so it is evaluated
+    on the real columns of the draw; a callable receives n complex
+    coordinate arrays.
     """
     point = as_point(z)
+    n = point.dim
+    if isinstance(f, GaussianSymbol) and f.dim != n:
+        raise ValueError(f"dimension mismatch: symbol dim {f.dim}, point dim {n}")
     rng = np.random.default_rng(cfg.seed)
     sigma = math.sqrt(1.0 / (2.0 * q.alpha))
-    offsets = rng.normal(0.0, sigma, size=(cfg.samples, 2 * point.dim))
-    coords = tuple(
-        point.coords[j] + offsets[:, 2 * j] + 1j * offsets[:, 2 * j + 1]
-        for j in range(point.dim)
-    )
-    values = _eval_on_samples(f, coords)
+    offsets = rng.normal(0.0, sigma, size=(cfg.samples, 2 * n))
+    if isinstance(f, GaussianSymbol):
+        expo = np.zeros(cfg.samples)
+        for j, c in enumerate(point.coords):
+            expo -= f.compression * (c.real + offsets[:, 2 * j]) ** 2
+        values = f.amplitude * np.exp(expo)
+    else:
+        coords = (c + offsets[:, 2 * j] + 1j * offsets[:, 2 * j + 1] for j, c in enumerate(point.coords))
+        values = np.asarray(f(*coords))
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(np.ravel(values)))[0])
-        node = tuple(complex(c[bad]) for c in coords)
-        raise NumericContractError(f"integrand is non-finite at sample {node}")
-    estimate = complex(np.mean(values))
-    spread = np.abs(values - estimate) ** 2
-    stderr = math.sqrt(float(np.sum(spread)) / (cfg.samples * (cfg.samples - 1)))
-    return estimate, stderr
+        sample = tuple(c + complex(*offsets[bad, 2 * j : 2 * j + 2]) for j, c in enumerate(point.coords))
+        raise NumericContractError(f"integrand is non-finite at sample {sample}")
+    mean = np.mean(values)
+    stderr = math.sqrt(float(np.sum(np.abs(values - mean) ** 2)) / (cfg.samples * (cfg.samples - 1)))
+    return complex(mean), stderr

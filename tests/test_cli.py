@@ -174,6 +174,15 @@ class TestTransformCommand:
         assert out == ""
         assert "integrand is non-finite at node" in err
 
+    def test_underflowing_transformed_amplitude_is_contract_error(self, capsys):
+        # alpha/(alpha + lambda) = 1e-600 is 0 as a double
+        code, out, err = run_cli(
+            capsys, "transform", "--lambda", "1e300", "--alpha", "1e-300", "--amplitude", "1e-300",
+        )
+        assert code == 3
+        assert out == ""
+        assert "transformed amplitude underflows to 0" in err
+
     def test_order_beyond_rule_cap_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -246,6 +255,14 @@ class TestTraceCommand:
         assert "trace check" in err
 
 
+    def test_underflowing_squared_amplitude_is_contract_error(self, capsys):
+        # the transformed amplitude is 1e-300 and its square 1e-600
+        code, out, err = run_cli(capsys, "trace", "--n", "3", "--lambda", "1", "--alpha", "1e-200")
+        assert code == 3
+        assert out == ""
+        assert "squared transformed amplitude underflows to 0" in err
+
+
 class TestUncertaintyCommand:
     def test_unit_compression(self, capsys):
         code, out, _ = run_cli(capsys, "uncertainty", "--lambda", "1")
@@ -269,6 +286,13 @@ class TestUncertaintyCommand:
         assert results["ratio"] == 1.0
         assert results["ratio_quadrature"] == 0.5
         assert "quadrature-moment ratio equals 1" in err
+
+    def test_moment_beyond_double_range_is_contract_error(self, capsys):
+        # 2 * lambda^(3/2) underflows to 0, so var_x is beyond the double range
+        code, out, err = run_cli(capsys, "uncertainty", "--lambda", "1e-300")
+        assert code == 3
+        assert out == ""
+        assert "var_x = inf" in err and "lambda=1e-300" in err
 
     def test_negative_compression_exits_two(self):
         with pytest.raises(SystemExit) as exc:

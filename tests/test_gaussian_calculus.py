@@ -25,6 +25,7 @@ from berezin import (
     taylor_remainder,
     transform_compose,
 )
+from berezin.gaussian_calculus import NumericContractError
 
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -107,6 +108,11 @@ class TestTransformClosed:
             out = berezin_transform_closed(GaussianSymbol(1, 1.0, lam), QuantParams(alpha))
             assert abs(out.compression - lam) <= lam * lam / alpha
             assert abs(out.amplitude - 1.0) <= lam / alpha
+
+    @pytest.mark.parametrize("amplitude,lam,alpha,dim", [(1e-300, 1e300, 1e-300, 1), (1.0, 1.0, 1e-250, 3)])
+    def test_underflowing_amplitude_raises(self, amplitude, lam, alpha, dim):
+        with pytest.raises(NumericContractError, match="transformed amplitude underflows to 0"):
+            berezin_transform_closed(GaussianSymbol(dim, amplitude, lam), QuantParams(alpha))
 
     @given(lam=positive, alpha=positive, factor=positive)
     @settings(max_examples=200, derandomize=True)

@@ -1,6 +1,7 @@
 """Oscillator spectrum, ladder/commutator identities, uncertainty equality."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from berezin import (
     uncertainty_quadrature,
     uncertainty_report,
 )
+from berezin.quadrature import NumericContractError
 
 GRID = GridSpec(half_width=10.0, points=2000)
 FINE_GRID = GridSpec(half_width=10.0, points=4001)  # halves the spacing
@@ -176,6 +178,19 @@ class TestUncertainty:
         assert report.ratio == 0.5
         with pytest.raises(ValueError, match="var_x must be non-negative and finite"):
             UncertaintyReport(lam=1.0, amplitude=1.0, var_x=math.nan, var_p=1.0, rhs=2.0, ratio=0.5, norm_sq=1.0)
+
+    @pytest.mark.parametrize(
+        "compute,lam,amplitude,moment",
+        [
+            (uncertainty_report, 1e-300, 1.0, "var_x = inf"),  # lambda^(3/2) underflows
+            (uncertainty_report, 1e300, 1.0, "var_x = nan"),  # (1 + lambda)^(3/2) overflows
+            (uncertainty_report, 1.0, 1e160, "var_x = inf"),
+            (uncertainty_quadrature, 1.0, 1e-90, "rhs = 0.0"),  # K^4 underflows
+        ],
+    )
+    def test_moment_beyond_double_range_raises(self, compute, lam, amplitude, moment):
+        with pytest.raises(NumericContractError, match=re.escape(moment) + ".*lambda="):
+            compute(lam, amplitude)
 
     def test_one_node_rule_reports_failed_ratio(self):
         # the order-1 rule has its only node at 0, so both second moments vanish

@@ -1,6 +1,7 @@
 """Quadrature oracle: rule construction, tensor integration, transform, MC."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from berezin import (
     integrate,
     monte_carlo_transform,
 )
-from berezin.quadrature import MAX_RULE_ORDER, tree_sum
+from berezin.quadrature import MAX_RULE_ORDER, RULE_CACHE_SIZE, NumericContractError, _build_rule, tree_sum
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -70,11 +71,41 @@ class TestGaussHermite:
             log_moment = top + math.log(float(np.sum(np.exp(terms - top))))
             assert abs(math.expm1(log_moment - math.lgamma((k + 1) / 2))) <= 1e-12, k
 
-    def test_order_bounds(self):
-        with pytest.raises(ValueError):
-            gauss_hermite(0)
-        with pytest.raises(ValueError):
-            gauss_hermite(MAX_RULE_ORDER + 1)
+    @pytest.mark.parametrize("order", [0, MAX_RULE_ORDER + 1, 80.0, True, "80"])
+    def test_order_validated_before_the_cache(self, order):
+        # 80.0 and True hash like the cached orders 80 and 1
+        gauss_hermite(80)
+        gauss_hermite(1)
+        with pytest.raises(ValueError, match="order"):
+            gauss_hermite(order)
+
+    def test_repeat_call_returns_the_same_rule(self):
+        assert gauss_hermite(80) is gauss_hermite(80)
+
+    def test_cache_is_bounded(self):
+        for order in range(1, MAX_RULE_ORDER + 1):
+            gauss_hermite(order)
+        assert 6 <= _build_rule.cache_info().currsize <= RULE_CACHE_SIZE
+
+    @pytest.mark.parametrize("order", [7, 80, 255, 256])
+    def test_matches_independent_reference(self, order):
+        # two 40-digit Newton steps on the physicists' H_m from the double
+        # nodes, and w = 2^(m-1) m! sqrt(pi) / (m^2 H_{m-1}(x)^2)
+        mp = pytest.importorskip("mpmath")
+        rule = gauss_hermite(order)
+        with mp.workdps(40):
+            scale = mp.mpf(2) ** (order - 1) * mp.factorial(order) * mp.sqrt(mp.pi) / order**2
+            for node, weight in zip(rule.nodes[order // 2 :], rule.weights[order // 2 :]):
+                x = mp.mpf(float(node))
+                for _ in range(2):
+                    below, h = mp.mpf(1), 2 * x  # H_0, H_1
+                    for k in range(1, order):
+                        below, h = h, 2 * x * h - 2 * k * below
+                    x -= h / (2 * order * below)  # H_m' = 2m H_{m-1}
+                # H_{m-1} is taken at the previous iterate, about 1e-30 from x
+                reference = scale / below**2
+                assert abs(node - x) <= 4e-16 * max(1, abs(x)), (order, node)
+                assert abs(weight - reference) <= 1e-12 * reference, (order, node)
 
     def test_rule_is_read_only(self):
         rule = gauss_hermite(4)
@@ -289,6 +320,37 @@ class TestMonteCarlo:
         first = monte_carlo_transform(GaussianSymbol(1, 1.0, 1.0), 0.2 + 0j, QuantParams(2.0), cfg)
         second = monte_carlo_transform(GaussianSymbol(1, 1.0, 1.0), 0.2 + 0j, QuantParams(2.0), cfg)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "f,z,alpha,samples,seed,expected",
+        [
+            # (estimate, stderr) reprs of the complex-coordinate evaluation
+            (GaussianSymbol(1, 1.0, 1.0), 0.4 - 0.3j, 2.0, 1000, 7,
+             "((0.7393256272259477+0j), 0.008016893392940858)"),
+            (GaussianSymbol(2, 1.5, 0.5), (0.3 + 0.2j, -0.6 + 0.1j), 1.0, 2000, 8,
+             "((0.8541067405419208+0j), 0.008939859970618675)"),
+            (GaussianSymbol(3, 0.5, 2.0), (0.1 + 0j, -0.2 + 0.5j, 0.7 - 0.4j), 3.0, 1500, 9,
+             "((0.11844718564224799+0j), 0.0029264910953360587)"),
+            (lambda w: np.exp(-1.5 * np.real(w) ** 2 + 0.5j * np.imag(w)), 0.3 - 0.2j, 2.0, 1000, 10,
+             "((0.6859320909155904-0.07453457540619196j), 0.01045029371641611)"),
+        ],
+    )
+    def test_seeded_results_pinned(self, f, z, alpha, samples, seed, expected):
+        result = monte_carlo_transform(f, z, QuantParams(alpha), MonteCarloConfig(samples=samples, seed=seed))
+        assert repr(result) == expected
+
+    def test_non_finite_sample_names_the_sample(self):
+        # at alpha=1e-310 a sample's square overflows, and 0 * inf is NaN
+        cfg = MonteCarloConfig(samples=1000, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericContractError, match=r"non-finite at sample \(\("):
+                monte_carlo_transform(GaussianSymbol(1, 1.0, 0.0), 0j, QuantParams(1e-310), cfg)
+        # a callable that is non-finite everywhere fails at the first sample drawn
+        first = np.random.default_rng(1).normal(0.0, math.sqrt(0.5), size=(1, 2))[0]
+        sample = 0.5 + complex(first[0], first[1])
+        with np.errstate(divide="ignore"):
+            with pytest.raises(NumericContractError, match=re.escape(f"non-finite at sample {(sample,)}")):
+                monte_carlo_transform(lambda w: 1.0 / (w.real - w.real), 0.5 + 0j, QuantParams(1.0), cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match=">= 1000"):
