@@ -269,7 +269,9 @@ def _report(lam: float, amplitude: float, **moments: float) -> UncertaintyReport
     # that overflows, or a divisor that underflows to 0, cannot stand for them
     for name, value in moments.items():
         if not math.isfinite(value) or (value == 0.0 and name in ("rhs", "norm_sq")):
-            raise NumericContractError(f"{name} = {value!r} is out of the double range at lambda={lam!r}, K={amplitude!r}")
+            raise NumericContractError(
+                f"{name} = {value!r} is out of the double range at lambda={lam!r}, K={amplitude!r}"
+            )
     ratio = moments["var_x"] * moments["var_p"] / moments["rhs"]
     return UncertaintyReport(lam=lam, amplitude=amplitude, ratio=ratio, **moments)
 

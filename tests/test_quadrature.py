@@ -334,6 +334,7 @@ class TestMonteCarlo:
             (lambda w: np.exp(-1.5 * np.real(w) ** 2 + 0.5j * np.imag(w)), 0.3 - 0.2j, 2.0, 1000, 10,
              "((0.6859320909155904-0.07453457540619196j), 0.01045029371641611)"),
         ],
+        ids=["symbol-n1", "symbol-n2", "symbol-n3", "callable"],
     )
     def test_seeded_results_pinned(self, f, z, alpha, samples, seed, expected):
         result = monte_carlo_transform(f, z, QuantParams(alpha), MonteCarloConfig(samples=samples, seed=seed))
