@@ -1,20 +1,13 @@
 """Independent numerical-integration oracle.
 
-Gauss-Hermite rules start from the Jacobi matrix of an orthogonal-polynomial
-recurrence (Golub & Welsch, Math. Comp. 23, 1969).  The Hermite weight is
-even, so the problem halves: the squared positive nodes of the order-m rule
-are the eigenvalues of the floor(m/2)-square Jacobi matrix of the Laguerre
-weight t^a exp(-t), a = -1/2 for even m and +1/2 for odd m (which adds the
-node 0).  A Newton step on the normalized Hermite function psi_m refines
-the non-negative nodes to within an ulp, a second pass over the same
-recurrence gives the weights exp(-x^2) / sum_{k<m} psi_k(x)^2 at those
-nodes (Townsend, Trogdon & Olver, IMA J. Numer. Anal. 36, 2016), and the
-rule is mirrored about 0.  psi_k = p_k *
-exp(-x^2/2) neither overflows nor loses relative accuracy, so every weight,
-down to the outermost, is accurate to a few ulps.  An order-m rule
-integrates t^k * exp(-t^2) exactly for k <= 2m-1.  The 16 most recently
-used rules are cached: they are frozen, read-only values, so callers share
-them.
+Gauss-Hermite rules come from a Jacobi-matrix eigenproblem (Golub & Welsch,
+Math. Comp. 23, 1969) of half the order, since the weight is even; one
+Newton step on the normalized Hermite function psi_m refines the nodes, and
+the weights are exp(-x^2) / sum_{k<m} psi_k(x)^2 (Townsend, Trogdon & Olver,
+IMA J. Numer. Anal. 36, 2016).  psi_k = p_k * exp(-x^2/2) neither overflows
+nor loses relative accuracy, so every weight, down to the outermost, is
+accurate to a few ulps.  An order-m rule integrates t^k * exp(-t^2) exactly
+for k <= 2m-1; the 16 most recently used rules are cached (`gauss_hermite`).
 
 `berezin_transform_numeric` evaluates the smoothing-transform integral
 

@@ -254,7 +254,6 @@ class TestTraceCommand:
         assert results["relative_deviation"] == 1.0
         assert "trace check" in err
 
-
     def test_underflowing_squared_amplitude_is_contract_error(self, capsys):
         # the transformed amplitude is 1e-300 and its square 1e-600
         code, out, err = run_cli(capsys, "trace", "--n", "3", "--lambda", "1", "--alpha", "1e-200")
