@@ -24,6 +24,7 @@ half-commutator expectation exactly for every lam > 0.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -266,9 +267,10 @@ def _validate_uncertainty_args(lam: float, amplitude: float) -> tuple[float, flo
 def _report(lam: float, amplitude: float, **moments: float) -> UncertaintyReport:
     # each moment is finite in exact arithmetic, and rhs and norm_sq, which
     # divide the ratio and the normalized variances, are positive; a double
-    # that overflows, or a divisor that underflows to 0, cannot stand for them
+    # that overflows, or a divisor that underflows to 0 or to a sub-normal
+    # with only a few significant bits, cannot stand for them
     for name, value in moments.items():
-        if not math.isfinite(value) or (value == 0.0 and name in ("rhs", "norm_sq")):
+        if not math.isfinite(value) or (value < sys.float_info.min and name in ("rhs", "norm_sq")):
             raise NumericContractError(
                 f"{name} = {value!r} is out of the double range at lambda={lam!r}, K={amplitude!r}"
             )

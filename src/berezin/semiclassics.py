@@ -14,7 +14,12 @@ As d_z^beta z^b = perm(b, beta) z^(b - beta) with perm(b, k) = b!/(b-k)!, the
 product, each C_j and the star product are one sum over pairs of terms: for
 each beta <= min(b1, g2), c1 z^b1 zbar^g1 and c2 z^b2 zbar^g2 add the monomial-pair
 coefficient c1 c2 perm(b1, beta) perm(g2, beta) alpha^(-|beta|) / beta! to
-z^(b1 + b2 - beta) zbar^(g1 + g2 - beta).
+z^(b1 + b2 - beta) zbar^(g1 + g2 - beta).  The sum does only the work a pair
+needs: when b1 and g2 share no non-zero axis, beta = 0 is the only term (and
+C_j with j >= 1 skips the pair); otherwise only the beta with |beta| = j are
+enumerated.  Inside the sum each (beta, gamma) is one integer, so a product's
+key is an integer sum.  Each key still receives its addends in the order of
+the pairs, so the result is bit-for-bit that of adding beta by beta.
 
 The antisymmetrized first-order term satisfies
 
@@ -35,7 +40,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import product
-from operator import add, index, sub
+from operator import add, index, mul, sub
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -287,29 +292,71 @@ def _bidifferential(
     """The monomial-pair sum with 1/alpha = inv_alpha, only |beta| = j when j is given.
 
     The coefficient is rounded as (c1 * perm(b1, beta)) * (c2 * perm(g2, beta)) *
-    (inv_alpha^|beta| / beta!), like a chain of derivatives.
+    (inv_alpha^|beta| / beta!), like a chain of derivatives.  A pair whose b1 and
+    g2 share no non-zero axis has beta = 0 only, so it adds that one addend
+    (nothing when j >= 1); otherwise only the beta of order j are enumerated.
+    The two coefficient factors are tabulated per term and the weight per
+    min(b1, g2), from the same operands in the same order.  Inside the sum
+    (beta, gamma) is one integer in base deg f + deg g + 1, so a product's key
+    is k1 + k2 minus beta packed into both halves.  Distinct beta give distinct
+    keys, so every key receives its addends in (f-term, g-term) order, starting
+    from 0j: the result is bit-for-bit that of summing beta by beta.
     """
     dim = _check_dims(f, g)
-    cap = math.inf if j is None else j
+    base = f.degree + g.degree + 1  # every exponent of f, g and the result is one digit
+    places = [base**axis for axis in reversed(range(dim))]  # big-endian: keys sort like (beta, gamma)
+    lift = base**dim  # beta digits sit above the gamma digits
+    limit = math.inf if j is None else j
+
+    def pack(exps) -> int:
+        return sum(map(mul, exps, places))
+
+    orders: dict = {}  # cap -> [(shift, beta)]
+
+    def betas(cap) -> list:
+        """(shift, beta) for each beta <= cap of order j; shift packs beta into both halves."""
+        if cap not in orders:
+            candidates = product(*(range(min(k, limit) + 1) for k in cap))
+            orders[cap] = [(pack(beta) * (lift + 1), beta) for beta in candidates if j is None or sum(beta) == j]
+        return orders[cap]
+
+    def tabulate(terms, conj: bool):
+        """(key, support mask, differentiated exponents, shift -> coeff * perm) per term."""
+        rows = []
+        for beta, gamma, c in terms:
+            exps = gamma if conj else beta
+            support = sum(1 << axis for axis, k in enumerate(exps) if k)
+            factors = {shift: c * math.prod(map(math.perm, exps, b)) for shift, b in betas(exps)}
+            rows.append((pack(beta) * lift + pack(gamma), support, exps, factors))
+        return rows
+
+    weights: dict = {}  # min(b1, g2) -> [(shift, inv_alpha^|beta| / beta!)]
+    right = tabulate(g.terms, True)
     acc: dict = {}
-    for b1, g1, c1 in f.terms:
-        for b2, g2, c2 in g.terms:
-            for beta in product(*(range(min(x, y, cap) + 1) for x, y in zip(b1, g2))):
-                order = sum(beta)
-                if j is not None and order != j:
-                    continue
-                p1, p2 = math.prod(map(math.perm, b1, beta)), math.prod(map(math.perm, g2, beta))
-                factorial = math.prod(map(math.factorial, beta))
-                key = (tuple(map(sub, map(add, b1, b2), beta)), tuple(map(sub, map(add, g1, g2), beta)))
-                acc[key] = acc.get(key, 0j) + (c1 * p1) * (c2 * p2) * (inv_alpha**order / factorial)
-    return PolynomialSymbol._canonical(dim, acc)
+    for k1, s1, b1, p1 in tabulate(f.terms, False):
+        for k2, s2, g2, p2 in right:
+            if not s1 & s2:  # no shared axis: beta = 0 alone, whose weight is 1.0
+                if not j:
+                    acc[k1 + k2] = acc.get(k1 + k2, 0j) + p1[0] * p2[0] * 1.0
+                continue
+            cap = tuple(map(min, b1, g2))
+            if cap not in weights:
+                weights[cap] = [(shift, inv_alpha ** sum(beta) / math.prod(map(math.factorial, beta)))
+                                for shift, beta in betas(cap)]
+            for shift, weight in weights[cap]:
+                key = k1 + k2 - shift
+                acc[key] = acc.get(key, 0j) + p1[shift] * p2[shift] * weight
+    # integer order is (beta, gamma) order, so _canonical sorts terms already in order
+    split = [(*divmod(key, lift), c) for key, c in sorted(acc.items())]
+    digits = {h: tuple(h // p % base for p in places) for h in {h for hi, lo, _ in split for h in (hi, lo)}}
+    return PolynomialSymbol._canonical(dim, {(digits[hi], digits[lo]): c for hi, lo, c in split})
 
 
 def c_term(f: PolynomialSymbol, g: PolynomialSymbol, j: int) -> PolynomialSymbol:
     """C_j(f, g): the monomial-pair coefficients perm(b1, beta) perm(g2, beta) / beta!, |beta| = j."""
-    if not isinstance(j, int) or j < 0:
+    if not (_is_integer(j) and j >= 0):
         raise ValueError(f"order must be a non-negative integer, got {j!r}")
-    return _bidifferential(f, g, 1.0, j)
+    return _bidifferential(f, g, 1.0, index(j))
 
 
 def wick_star(f: PolynomialSymbol, g: PolynomialSymbol, q: QuantParams) -> PolynomialSymbol:

@@ -293,6 +293,13 @@ class TestUncertaintyCommand:
         assert out == ""
         assert "var_x = inf" in err and "lambda=1e-300" in err
 
+    def test_sub_normal_moment_is_contract_error(self, capsys):
+        # K^4 = 1e-320 keeps a few significant bits, so rhs cannot divide the ratio
+        code, out, err = run_cli(capsys, "uncertainty", "--lambda", "1", "--K", "1e-80")
+        assert code == 3
+        assert out == ""
+        assert "rhs = 1.571e-320" in err and "K=1e-80" in err
+
     def test_negative_compression_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["uncertainty", "--lambda", "-1"])

@@ -186,6 +186,8 @@ class TestUncertainty:
             (uncertainty_report, 1e300, 1.0, "var_x = nan"),  # (1 + lambda)^(3/2) overflows
             (uncertainty_report, 1.0, 1e160, "var_x = inf"),
             (uncertainty_quadrature, 1.0, 1e-90, "rhs = 0.0"),  # K^4 underflows
+            (uncertainty_report, 1.0, 1e-80, "rhs = 1.571e-320"),  # K^4 is sub-normal
+            (uncertainty_quadrature, 1.0, 1e-80, "rhs = 1.5706e-320"),
         ],
     )
     def test_moment_beyond_double_range_raises(self, compute, lam, amplitude, moment):

@@ -52,6 +52,32 @@ def bracket_by_derivatives(f, g, scale):
     return total.scaled(scale)
 
 
+def star_by_pairs(f, g, inv_alpha, j=None):
+    """Reference: the monomial-pair sum beta by beta, every beta <= min(b1, g2) of each pair."""
+    dim = semiclassics._check_dims(f, g)
+    cap = math.inf if j is None else j
+    acc = {}
+    for b1, g1, c1 in f.terms:
+        for b2, g2, c2 in g.terms:
+            for beta in itertools.product(*(range(min(x, y, cap) + 1) for x, y in zip(b1, g2))):
+                order = sum(beta)
+                if j is not None and order != j:
+                    continue
+                p1, p2 = math.prod(map(math.perm, b1, beta)), math.prod(map(math.perm, g2, beta))
+                factorial = math.prod(map(math.factorial, beta))
+                key = (tuple(x + y - k for x, y, k in zip(b1, b2, beta)), tuple(x + y - k for x, y, k in zip(g1, g2, beta)))
+                acc[key] = acc.get(key, 0j) + (c1 * p1) * (c2 * p2) * (inv_alpha**order / factorial)
+    return PolynomialSymbol._canonical(dim, acc)
+
+
+def assert_pair_sum_bits(f, g, alpha):
+    """f * g, wick_star and c_term at j = 0..3 equal star_by_pairs bit for bit."""
+    assert coefficient_bits(f * g) == coefficient_bits(star_by_pairs(f, g, 1.0, 0))
+    assert coefficient_bits(wick_star(f, g, QuantParams(alpha))) == coefficient_bits(star_by_pairs(f, g, 1.0 / alpha))
+    for j in range(4):
+        assert coefficient_bits(c_term(f, g, j)) == coefficient_bits(star_by_pairs(f, g, 1.0, j))
+
+
 def coefficient_bits(p):
     return [(beta, gamma, c.real.hex(), c.imag.hex()) for beta, gamma, c in p.terms]
 
@@ -269,11 +295,57 @@ class TestWickStar:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             wick_star(Z, PolynomialSymbol.coordinate(2), QuantParams(1.0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            Z * PolynomialSymbol.conj_coordinate(2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            c_term(PolynomialSymbol.coordinate(3), ZBAR, 1)
+
+
+class TestMonomialPairSum:
+    def test_matches_pair_reference_bit_for_bit(self):
+        # 1008 seeded pairs: degrees up to 4 at dims 1-3, then twelve (dim, degree,
+        # terms) = (3, 6, 30) pairs, the largest shape of the star-algebra benchmark
+        rng = np.random.default_rng(41)
+        shapes = [(dim, degree, terms) for dim in (1, 2, 3) for degree, terms in ((1, 2), (2, 3), (3, 4), (4, 8))]
+        for _ in range(83):
+            for dim, degree, terms in shapes:
+                f = _random_polynomial(rng, dim, degree=degree, terms=terms)
+                g = _random_polynomial(rng, dim, degree=int(rng.integers(0, degree + 1)), terms=terms)
+                assert_pair_sum_bits(f, g, float(rng.uniform(0.3, 7.0)))
+        for _ in range(12):
+            f, g = (_random_polynomial(rng, 3, degree=6, terms=30) for _ in range(2))
+            assert_pair_sum_bits(f, g, float(rng.uniform(0.5, 5.0)))
+
+    def test_edge_cases_match_reference(self):
+        zero = PolynomialSymbol(2, ())
+        z1 = PolynomialSymbol.coordinate(2, 0)
+        for f, g in ((zero, zero), (zero, z1), (z1, zero)):
+            assert_pair_sum_bits(f, g, 1.3)
+            assert wick_star(f, g, QuantParams(1.3)).is_zero
+        # constants pack in base 1
+        a, b = PolynomialSymbol.constant(3, 0.3 - 2j), PolynomialSymbol.constant(3, -1.7 + 0.1j)
+        assert_pair_sum_bits(a, b, 0.9)
+        assert (a * b).terms == (((0, 0, 0), (0, 0, 0), (0.3 - 2j) * (-1.7 + 0.1j)),)
+        # one axis, degree 40: perm(40, beta) reaches 40!
+        f = PolynomialSymbol(2, (((40, 0), (0, 0), 0.5 + 0.25j), ((3, 0), (2, 0), -1.0)))
+        g = PolynomialSymbol(2, (((0, 0), (40, 0), 1.0 - 0.5j), ((1, 0), (7, 0), 0.75j)))
+        assert_pair_sum_bits(f, g, 2.5)
+        assert_pair_sum_bits(g, f, 2.5)
+        assert wick_star(f, g, QuantParams(2.5)).terms_dict()[((0, 0), (0, 0))] != 0
 
 
 class TestCTerm:
     def test_order_one_pair(self):
         assert c_term(Z, ZBAR, 1) == ONE
+
+    @pytest.mark.parametrize("order", [True, False, 1.0, -1, "1", None])
+    def test_order_validated(self, order):
+        with pytest.raises(ValueError, match="order must be a non-negative integer"):
+            c_term(Z, ZBAR, order)
+
+    def test_numpy_integer_order_accepted(self):
+        assert c_term(Z, ZBAR, np.int64(1)) == c_term(Z, ZBAR, 1) == ONE
+        assert c_term(Z * Z, ZBAR * ZBAR, np.uint8(2)) == PolynomialSymbol.constant(1, 2.0)
 
     def test_order_two_squares(self):
         out = c_term(Z * Z, ZBAR * ZBAR, 2)
