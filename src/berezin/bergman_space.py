@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .gaussian_calculus import (
     PointLike,
     QuantParams,
     _half_power,
+    _is_integer,
     as_point,
     berezin_transform_closed,
 )
@@ -55,9 +57,10 @@ class WeightSpec:
     alpha: float
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not (_is_integer(self.dim) and self.dim >= 1):
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         QuantParams(self.alpha)  # validates alpha
+        object.__setattr__(self, "dim", index(self.dim))
         object.__setattr__(self, "alpha", float(self.alpha))
 
     @property

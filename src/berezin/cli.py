@@ -230,7 +230,7 @@ def _sweep_value(quantity: str, n: int, lam: float, alpha: float) -> float:
     if quantity == "amplitude_prime":
         return berezin_transform_closed(symbol, q).amplitude
     if quantity == "taylor_remainder":
-        return taylor_remainder(symbol, q, 0.3 + 0j)
+        return taylor_remainder(symbol, q, (0.3 + 0j,) * n)
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
@@ -243,7 +243,7 @@ def cmd_sweep(args) -> tuple[RunRecord, list]:
     header = ["lambda", "alpha", "n", args.quantity]
     if args.quantity == "expansion_residual":
         # one residual row per alpha; the slope goes into the record
-        grid = (0j, 0.3 + 0j, 0.7 + 0j)
+        grid = [(x,) * args.n for x in (0j, 0.3 + 0j, 0.7 + 0j)]
         for lam in lambdas:
             symbol = GaussianSymbol(dim=args.n, amplitude=1.0, compression=lam)
             report = semiclassics.expansion_check(symbol, alphas, grid)

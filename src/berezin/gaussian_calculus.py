@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence, Union
 
 __all__ = [
@@ -41,6 +42,12 @@ PointLike = Union["ComplexPoint", complex, float, Sequence[complex]]
 
 class NumericContractError(ValueError):
     """A numeric result is not a finite number the contract can vouch for."""
+
+
+def _is_integer(k) -> bool:
+    """The library's one integer test: int-like (has __index__, so numpy
+    integers pass) and not bool.  Callers store `operator.index(k)`."""
+    return not isinstance(k, bool) and hasattr(k, "__index__")
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ class GaussianSymbol:
     compression: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not (_is_integer(self.dim) and self.dim >= 1):
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         amp = float(self.amplitude)
         lam = float(self.compression)
@@ -120,6 +127,7 @@ class GaussianSymbol:
             raise ValueError(f"amplitude must be positive and finite, got {self.amplitude!r}")
         if not (math.isfinite(lam) and lam >= 0.0):
             raise ValueError(f"compression must be non-negative and finite, got {self.compression!r}")
+        object.__setattr__(self, "dim", index(self.dim))
         object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "compression", lam)
 
@@ -200,6 +208,8 @@ def taylor_remainder(g: GaussianSymbol, q: QuantParams, z: PointLike) -> float:
         [1 + lam^2*u^2/(4*alpha) - (n/2)*(lam/alpha)] * exp(-lam*u^2/4),
 
     u^2 = sum_j (z_j + conj(z_j))^2.  The remainder decays as O(alpha^-2).
+    A first-order factor or remainder outside the double range raises
+    NumericContractError naming lambda and alpha.
     """
     point = as_point(z, g.dim)
     lam = g.compression
@@ -208,8 +218,13 @@ def taylor_remainder(g: GaussianSymbol, q: QuantParams, z: PointLike) -> float:
     u2 = _real_square_sum(point)
     unit = GaussianSymbol(dim=n, amplitude=1.0, compression=lam)
     exact = evaluate(berezin_transform_closed(unit, q), point)
-    approx = (1.0 + lam * lam * u2 / (4.0 * a) - 0.5 * n * lam / a) * math.exp(-0.25 * lam * u2)
-    return abs(exact - approx)
+    factor = 1.0 + lam * lam * u2 / (4.0 * a) - 0.5 * n * lam / a
+    remainder = abs(exact - factor * math.exp(-0.25 * lam * u2))
+    if not (math.isfinite(factor) and math.isfinite(remainder)):
+        raise NumericContractError(
+            f"Taylor remainder is not finite (first-order factor {factor!r}) at lambda={lam!r}, alpha={a!r}"
+        )
+    return remainder
 
 
 def gaussian_moment(k: int, a: float) -> float:
@@ -218,8 +233,9 @@ def gaussian_moment(k: int, a: float) -> float:
     Equals 1*3*5***(k-1) * sqrt(pi) / (2^(k/2) * a^((k+1)/2)); k = 0 gives
     sqrt(pi/a).  Odd k raises (see `odd_moment_vanishes`).
     """
-    if not isinstance(k, int) or k < 0:
+    if not (_is_integer(k) and k >= 0):
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    k = index(k)
     if k % 2:
         raise ValueError(f"odd power k={k}: the moment vanishes by symmetry (use odd_moment_vanishes)")
     a = float(a)
@@ -235,6 +251,6 @@ def gaussian_moment(k: int, a: float) -> float:
 
 def odd_moment_vanishes(k: int) -> bool:
     """True when x^k * exp(-a*x^2) integrates to zero by symmetry (odd k)."""
-    if not isinstance(k, int) or k < 0:
+    if not (_is_integer(k) and k >= 0):
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    return bool(k % 2)
+    return bool(index(k) % 2)

@@ -27,10 +27,12 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .gaussian_calculus import _is_integer
 from .quadrature import NumericContractError, gauss_hermite, integrate
 
 __all__ = [
@@ -56,11 +58,12 @@ class OscillatorSpec:
     h: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not (_is_integer(self.dim) and self.dim >= 1):
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         h = float(self.h)
         if not (math.isfinite(h) and h > 0.0):
             raise ValueError(f"h must be positive and finite, got {self.h!r}")
+        object.__setattr__(self, "dim", index(self.dim))
         object.__setattr__(self, "h", h)
 
 
@@ -72,8 +75,9 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
-        if not isinstance(self.points, int) or self.points < 3:
+        if not (_is_integer(self.points) and self.points >= 3):
             raise ValueError(f"points must be an integer >= 3, got {self.points!r}")
+        object.__setattr__(self, "points", index(self.points))
         half_width = float(self.half_width)
         if not (math.isfinite(half_width) and half_width > 0.0):
             raise ValueError(f"half_width must be positive, got {self.half_width!r}")
@@ -102,8 +106,9 @@ def spectrum(spec: OscillatorSpec, grid: GridSpec, levels: int) -> np.ndarray:
     one-dimensional levels by dim (diagonal levels n*(2j + h)).  Coarse
     grids produce a warning-carrying result.
     """
-    if not isinstance(levels, int) or not 1 <= levels <= 10:
+    if not (_is_integer(levels) and 1 <= levels <= 10):
         raise ValueError(f"levels must be an integer in [1, 10], got {levels!r}")
+    levels = index(levels)
     # imported here so that importing the package does not load scipy
     from scipy.linalg import eigvalsh_tridiagonal
 

@@ -24,7 +24,9 @@ a generic callable is summed on the centred tensor grid by `integrate`,
 which limits it to n <= 2.  At z = 0 the kernel is the weight rho itself,
 so the transform there is the trace Tr(f).  The oracle never consults the
 closed-form width map.  A seeded Monte-Carlo estimator samples the same
-centred Gaussian and provides a second, statistically independent route.
+centred Gaussian and provides a second, statistically independent route; it
+draws only the n real coordinates of w for a GaussianSymbol and all 2n for
+a callable.
 
 All reductions use a fixed deterministic order (pairwise folding), so
 results are reproducible run-to-run.
@@ -34,12 +36,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .gaussian_calculus import GaussianSymbol, NumericContractError, PointLike, QuantParams, as_point
+from .gaussian_calculus import GaussianSymbol, NumericContractError, PointLike, QuantParams, _is_integer, as_point
 
 __all__ = [
     "MonteCarloConfig",
@@ -92,10 +95,12 @@ class MonteCarloConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.samples, int) or self.samples < 1000:
+        if not (_is_integer(self.samples) and self.samples >= 1000):
             raise ValueError(f"samples must be an integer >= 1000, got {self.samples!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
+        object.__setattr__(self, "samples", operator.index(self.samples))
+        object.__setattr__(self, "seed", operator.index(self.seed))
 
 
 def tree_sum(values):
@@ -159,9 +164,9 @@ def gauss_hermite(order: int) -> QuadratureRule1D:
     the 16 most recently used orders, so a repeated order returns the same
     object.
     """
-    if isinstance(order, bool) or not isinstance(order, int) or not 1 <= order <= MAX_RULE_ORDER:
+    if not (_is_integer(order) and 1 <= order <= MAX_RULE_ORDER):
         raise ValueError(f"order must be an integer in [1, {MAX_RULE_ORDER}], got {order!r}")
-    return _build_rule(order)
+    return _build_rule(operator.index(order))
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
@@ -300,31 +305,53 @@ def monte_carlo_transform(
 
     The transform kernel (1/K(z,z)) |K(z,w)|^2 rho(w) is exactly the
     Gaussian probability density (alpha/pi)^n exp(-alpha*|w-z|^2), so the
-    estimator importance-samples w from it and averages f(w).  Returns
-    (mean, standard error); a fixed seed reproduces the estimate
-    bit-for-bit.  A GaussianSymbol depends only on Re w, so it is evaluated
-    on the real columns of the draw; a callable receives n complex
-    coordinate arrays.
+    estimator importance-samples w from it and averages f(w): each of the
+    2n real coordinates of w - z is normal with sigma = 1/sqrt(2*alpha).
+    Returns (mean, standard error); a fixed seed reproduces the estimate
+    bit-for-bit.
+
+    A GaussianSymbol depends only on Re w, so only the n real coordinates
+    are drawn: row j of sigma * default_rng(seed).standard_normal((n, N))
+    is Re(w_j - z_j) for the N samples, and A*exp(-lam * sum_j (Re w_j)^2)
+    is evaluated in place on those rows.  A callable receives n complex
+    coordinate arrays, w_j = z_j + X[:, 2j] + i*X[:, 2j+1] with
+    X = default_rng(seed).normal(0, sigma, (N, 2n)).  A non-finite value
+    raises, naming the sample (for a symbol, Re w drawn and Im w = Im z).
     """
     point = as_point(z)
     n = point.dim
     if isinstance(f, GaussianSymbol) and f.dim != n:
         raise ValueError(f"dimension mismatch: symbol dim {f.dim}, point dim {n}")
-    rng = np.random.default_rng(cfg.seed)
     sigma = math.sqrt(1.0 / (2.0 * q.alpha))
-    offsets = rng.normal(0.0, sigma, size=(cfg.samples, 2 * n))
     if isinstance(f, GaussianSymbol):
-        expo = np.zeros(cfg.samples)
-        for j, c in enumerate(point.coords):
-            expo -= f.compression * (c.real + offsets[:, 2 * j]) ** 2
-        values = f.amplitude * np.exp(expo)
+        rows = np.random.default_rng(cfg.seed).standard_normal((n, cfg.samples))
+        rows *= sigma
+        rows += np.array([[c.real] for c in point.coords])
+        np.square(rows, out=rows)
+        values = rows[0]
+        for row in rows[1:]:
+            values += row
+        values *= -f.compression
+        np.exp(values, out=values)
+        values *= f.amplitude
     else:
+        offsets = np.random.default_rng(cfg.seed).normal(0.0, sigma, size=(cfg.samples, 2 * n))
         coords = (c + offsets[:, 2 * j] + 1j * offsets[:, 2 * j + 1] for j, c in enumerate(point.coords))
         values = np.asarray(f(*coords))
     if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(np.ravel(values)))[0])
-        sample = tuple(c + complex(*offsets[bad, 2 * j : 2 * j + 2]) for j, c in enumerate(point.coords))
-        raise NumericContractError(f"integrand is non-finite at sample {sample}")
+        raise NumericContractError(f"integrand is non-finite at sample {_sample(f, point, sigma, cfg, values)}")
     mean = np.mean(values)
     stderr = math.sqrt(float(np.sum(np.abs(values - mean) ** 2)) / (cfg.samples * (cfg.samples - 1)))
     return complex(mean), stderr
+
+
+def _sample(f, point, sigma: float, cfg: MonteCarloConfig, values: np.ndarray) -> tuple:
+    """The first sample w at which `values` is non-finite, drawn again from
+    the seed (a symbol's rows were overwritten by its evaluation)."""
+    bad = int(np.flatnonzero(~np.isfinite(np.ravel(values)))[0])
+    rng = np.random.default_rng(cfg.seed)
+    if isinstance(f, GaussianSymbol):
+        shifts = sigma * rng.standard_normal((point.dim, cfg.samples))[:, bad]
+        return tuple(c + s for c, s in zip(point.coords, shifts))
+    offsets = rng.normal(0.0, sigma, size=(cfg.samples, 2 * point.dim))[bad]
+    return tuple(c + complex(offsets[2 * j], offsets[2 * j + 1]) for j, c in enumerate(point.coords))

@@ -50,6 +50,7 @@ from .gaussian_calculus import (
     GaussianSymbol,
     PointLike,
     QuantParams,
+    _is_integer,
     _real_square_sum,
     as_point,
     berezin_transform_closed,
@@ -70,10 +71,6 @@ __all__ = [
 
 # kappa: bracket normalization making the first-order condition an identity
 BRACKET_NORMALIZATION = 2.0 * math.pi / 1j
-
-
-def _is_integer(k) -> bool:
-    return not isinstance(k, bool) and hasattr(k, "__index__")
 
 
 def _validate_axis(axis, dim: int) -> int:

@@ -14,6 +14,7 @@ command for a single input: `transform_check` (theorem1), `trace_check`
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -165,15 +166,16 @@ def _multi_indices(total: int, dim: int) -> Iterable[tuple]:
         yield tuple(beta)
 
 
-def _all_exponent_pairs(dim: int, degree: int) -> list[tuple]:
-    # fixed enumeration order keeps seeded draws reproducible
+@functools.cache
+def _all_exponent_pairs(dim: int, degree: int) -> tuple:
+    # fixed enumeration order keeps seeded draws reproducible; built once per (dim, degree)
     pairs = []
     for total in range(degree + 1):
         for split in range(total + 1):
             for beta in _multi_indices(split, dim):
                 for gamma in _multi_indices(total - split, dim):
                     pairs.append((beta, gamma))
-    return pairs
+    return tuple(pairs)
 
 
 def _random_polynomial(rng: np.random.Generator, dim: int, degree: int = 3, terms: int = 4) -> PolynomialSymbol:

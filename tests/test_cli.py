@@ -12,7 +12,7 @@ import pytest
 
 from berezin import bergman_space, oscillator, verify
 from berezin.cli import RunRecord, main, parse_grid, parse_point
-from berezin.gaussian_calculus import GaussianSymbol, QuantParams
+from berezin.gaussian_calculus import GaussianSymbol, QuantParams, taylor_remainder
 from berezin.quadrature import NumericContractError
 
 
@@ -345,6 +345,29 @@ class TestSweepCommand:
         assert code == 0
         record = record_of(out)
         assert record["results"]["slope_lambda_1.0"] == pytest.approx(-1.0, abs=0.1)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_point_quantities_at_higher_dimension(self, capsys, tmp_path, n):
+        # the sample point has n coordinates, each 0.3 (or 0, 0.3, 0.7 for the expansion)
+        out_path = tmp_path / "taylor.csv"
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--quantity", "taylor_remainder", "--n", str(n),
+            "--lambdas", "1", "--alphas", "10,100", "--out", str(out_path),
+        )
+        assert code == 0
+        with open(out_path, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        symbol = GaussianSymbol(dim=n, amplitude=1.0, compression=1.0)
+        expected = [taylor_remainder(symbol, QuantParams(a), (0.3 + 0j,) * n) for a in (10.0, 100.0)]
+        assert [float(r[3]) for r in rows] == expected
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--quantity", "expansion_residual", "--n", str(n),
+            "--lambdas", "1", "--alphas", "10,100,1000", "--out", str(tmp_path / "expansion.csv"),
+        )
+        assert code == 0
+        assert record_of(out)["results"]["slope_lambda_1.0"] == pytest.approx(-1.0, abs=0.1)
 
     @pytest.mark.parametrize(
         "argv",

@@ -14,7 +14,12 @@ from hypothesis import given, settings, strategies as st
 from berezin import (
     ComplexPoint,
     GaussianSymbol,
+    GridSpec,
+    MonteCarloConfig,
+    OscillatorSpec,
+    PolynomialSymbol,
     QuantParams,
+    WeightSpec,
     berezin_transform_closed,
     evaluate,
     gauss_hermite,
@@ -22,6 +27,7 @@ from berezin import (
     heat_evolve,
     odd_moment_vanishes,
     scaled,
+    spectrum,
     taylor_remainder,
     transform_compose,
 )
@@ -167,6 +173,11 @@ class TestTaylorRemainder:
         assert remainder < 1e-3
         assert remainder == pytest.approx(2.216482368599948e-05, rel=1e-9)  # frozen
 
+    def test_overflowing_first_order_factor_raises(self):
+        # lam^2 overflows; the factor (inf) times exp(-...) = 0 was a quiet NaN
+        with pytest.raises(NumericContractError, match=r"lambda=1e\+172, alpha=5e\+255"):
+            taylor_remainder(GaussianSymbol(1, 1.0, 1e172), QuantParams(5e255), 0.3)
+
     def test_amplitude_ignored(self):
         q = QuantParams(25.0)
         small = taylor_remainder(GaussianSymbol(1, 1.0, 1.0), q, 0.4 + 0j)
@@ -238,3 +249,37 @@ class TestGaussianMoment:
             for k in range(0, 12, 2):
                 numeric = float(np.sum(rule.weights * (rule.nodes / math.sqrt(a)) ** k)) / math.sqrt(a)
                 assert numeric == pytest.approx(gaussian_moment(k, a), rel=1e-12)
+
+
+# every integer parameter goes through gaussian_calculus._is_integer: bool,
+# float and str are refused; numpy integers are accepted and stored as int
+INTEGER_PARAMETERS = {
+    "GaussianSymbol.dim": (2, lambda k: GaussianSymbol(dim=k).dim),
+    "gauss_hermite.order": (20, lambda k: gauss_hermite(k).order),
+    "MonteCarloConfig.samples": (1000, lambda k: MonteCarloConfig(samples=k, seed=0).samples),
+    "MonteCarloConfig.seed": (3, lambda k: MonteCarloConfig(samples=1000, seed=k).seed),
+    "OscillatorSpec.dim": (2, lambda k: OscillatorSpec(dim=k).dim),
+    "GridSpec.points": (500, lambda k: GridSpec(6.0, k).points),
+    "spectrum.levels": (2, lambda k: spectrum(OscillatorSpec(), GridSpec(6.0, 500), k).size),
+    "WeightSpec.dim": (2, lambda k: WeightSpec(dim=k, alpha=1.0).dim),
+    "PolynomialSymbol.dim": (2, lambda k: PolynomialSymbol(k, ()).dim),
+    "gaussian_moment.k": (2, lambda k: gaussian_moment(k, 1.0)),
+}
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("name", INTEGER_PARAMETERS)
+    @pytest.mark.parametrize("make", [np.int64, np.int32, np.uint16])
+    def test_numpy_integer_accepted(self, name, make):
+        value, build = INTEGER_PARAMETERS[name]
+        result = build(make(value))
+        assert result == build(value)
+        assert type(result) is type(build(value))
+
+    @pytest.mark.parametrize("name", INTEGER_PARAMETERS)
+    @pytest.mark.parametrize("kind", ["bool", "float", "str"])
+    def test_non_integer_refused(self, name, kind):
+        value, build = INTEGER_PARAMETERS[name]
+        bad = {"bool": True, "float": float(value), "str": str(value)}[kind]
+        with pytest.raises(ValueError):
+            build(bad)

@@ -82,6 +82,12 @@ class TestGaussHermite:
     def test_repeat_call_returns_the_same_rule(self):
         assert gauss_hermite(80) is gauss_hermite(80)
 
+    @pytest.mark.parametrize("order", [np.int64(80), np.int32(80), np.uint16(80)])
+    def test_numpy_integer_order_is_the_cached_rule(self, order):
+        rule = gauss_hermite(order)
+        assert rule is gauss_hermite(80)
+        assert type(rule.order) is int
+
     def test_cache_is_bounded(self):
         for order in range(1, MAX_RULE_ORDER + 1):
             gauss_hermite(order)
@@ -324,13 +330,14 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "f,z,alpha,samples,seed,expected",
         [
-            # (estimate, stderr) reprs of the complex-coordinate evaluation
+            # (estimate, stderr) reprs; symbols draw n real rows, a callable 2n columns
             (GaussianSymbol(1, 1.0, 1.0), 0.4 - 0.3j, 2.0, 1000, 7,
-             "((0.7393256272259477+0j), 0.008016893392940858)"),
+             "((0.7602302661877455+0j), 0.007506696832493651)"),
             (GaussianSymbol(2, 1.5, 0.5), (0.3 + 0.2j, -0.6 + 0.1j), 1.0, 2000, 8,
-             "((0.8541067405419208+0j), 0.008939859970618675)"),
+             "((0.8607724060262995+0j), 0.008997053049438996)"),
             (GaussianSymbol(3, 0.5, 2.0), (0.1 + 0j, -0.2 + 0.5j, 0.7 - 0.4j), 3.0, 1500, 9,
-             "((0.11844718564224799+0j), 0.0029264910953360587)"),
+             "((0.11916485359993972+0j), 0.00299802234647109)"),
+            # the callable case pins the 2n-column stream of normal(0, sigma, (N, 2n))
             (lambda w: np.exp(-1.5 * np.real(w) ** 2 + 0.5j * np.imag(w)), 0.3 - 0.2j, 2.0, 1000, 10,
              "((0.6859320909155904-0.07453457540619196j), 0.01045029371641611)"),
         ],
@@ -340,12 +347,33 @@ class TestMonteCarlo:
         result = monte_carlo_transform(f, z, QuantParams(alpha), MonteCarloConfig(samples=samples, seed=seed))
         assert repr(result) == expected
 
+    def test_symbol_stream_is_n_real_rows(self):
+        # the documented stream, rebuilt from its definition: row j of
+        # sigma * standard_normal((n, N)) is Re(w_j - z_j)
+        f, z, q, samples, seed = GaussianSymbol(2, 1.5, 0.5), (0.3 + 0.2j, -0.6 + 0.1j), QuantParams(1.0), 2000, 8
+        rows = math.sqrt(1.0 / (2.0 * q.alpha)) * np.random.default_rng(seed).standard_normal((2, samples))
+        values = f.amplitude * np.exp(-f.compression * ((z[0].real + rows[0]) ** 2 + (z[1].real + rows[1]) ** 2))
+        mean = np.mean(values)
+        stderr = math.sqrt(float(np.sum((values - mean) ** 2)) / (samples * (samples - 1)))
+        result = monte_carlo_transform(f, z, q, MonteCarloConfig(samples=samples, seed=seed))
+        assert repr(result) == repr((complex(mean), stderr))
+
     def test_non_finite_sample_names_the_sample(self):
         # at alpha=1e-310 a sample's square overflows, and 0 * inf is NaN
         cfg = MonteCarloConfig(samples=1000, seed=1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericContractError, match=r"non-finite at sample \(\("):
                 monte_carlo_transform(GaussianSymbol(1, 1.0, 0.0), 0j, QuantParams(1e-310), cfg)
+        # at alpha=1e-308 the samples are finite (sigma = 7.1e153) but some
+        # squares are not; the message names the first such sample, its Re w
+        # drawn and its Im w that of the centre
+        rows = math.sqrt(1.0 / 2e-308) * np.random.default_rng(1).standard_normal((2, 1000))
+        with np.errstate(over="ignore"):
+            bad = int(np.flatnonzero(np.isinf((0.5 + rows[0]) ** 2 + rows[1] ** 2))[0])
+        sample = (0.5 + 0.2j + rows[0, bad], -0.3j + rows[1, bad])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericContractError, match=re.escape(f"non-finite at sample {sample}")):
+                monte_carlo_transform(GaussianSymbol(2, 1.0, 0.0), (0.5 + 0.2j, -0.3j), QuantParams(1e-308), cfg)
         # a callable that is non-finite everywhere fails at the first sample drawn
         first = np.random.default_rng(1).normal(0.0, math.sqrt(0.5), size=(1, 2))[0]
         sample = 0.5 + complex(first[0], first[1])
