@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 
@@ -29,7 +28,8 @@ from .gaussian_calculus import (
     PointLike,
     QuantParams,
     _half_power,
-    _is_integer,
+    _integer,
+    _real,
     as_point,
     berezin_transform_closed,
 )
@@ -57,11 +57,8 @@ class WeightSpec:
     alpha: float
 
     def __post_init__(self):
-        if not (_is_integer(self.dim) and self.dim >= 1):
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        QuantParams(self.alpha)  # validates alpha
-        object.__setattr__(self, "dim", index(self.dim))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "dim", _integer("dim", self.dim, 1))
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha))
 
     @property
     def quant(self) -> QuantParams:
@@ -143,9 +140,7 @@ def purity_index(lam: float, q: QuantParams, dim: int = 1) -> TraceReport:
     normalized_trace = (alpha/(alpha + 3*lam))^(n/2); raw_trace is the trace
     of the squared transform computed from the transformed symbol (A = 1).
     """
-    lam = float(lam)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"compression must be positive, got {lam!r}")
+    lam = _real("lambda", lam)
     raw = trace(_squared_transform(lam, q, dim), q)
     normalized = _half_power(q.alpha / (q.alpha + 3.0 * lam), dim)
     return TraceReport(raw_trace=raw, normalized_trace=normalized, alpha=q.alpha, lam=lam, dim=dim)
@@ -167,15 +162,13 @@ def reproducing_residual(
     The kernel reproduces holomorphic polynomials; non-holomorphic input
     (any conj-coordinate power) is rejected.  The integral over the 2n real
     coordinates of w runs through `integrate` with the weight's Gaussian as
-    its node scaling, so the dimension is limited to n <= 2 and the degree
-    to the rule's exactness budget.
+    its node scaling, so `integrate` limits the dimension to n <= 2 (2n <= 4
+    real axes), and the degree is limited to the rule's exactness budget.
     """
     if p.degree_zbar > 0:
         raise ValueError("reproducing property requires a holomorphic polynomial (no conj powers)")
     point = as_point(z, p.dim)
     n = p.dim
-    if n > 2:
-        raise ValueError("tensor quadrature supports n <= 2")
     if 2 * p.degree > 2 * rule.order - 1:
         raise ValueError(f"degree {p.degree} exceeds the exactness budget of an order-{rule.order} rule")
     alpha = q.alpha

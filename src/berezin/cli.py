@@ -4,7 +4,8 @@ parameter sweeps, and verification suites.
 Every command prints a single-line JSON run record to stdout; human-readable
 tables go to stderr.  Numbers serialize via Python's shortest round-trip
 representation, so parsing the record recovers the exact float values.
-Exit codes: 0 success, 2 usage error, 3 numeric-contract violation,
+Exit codes: 0 success, 2 usage error (the library refuses a bad parameter
+by name, e.g. alpha = nan or --n 0), 3 numeric-contract violation,
 4 internal error.  `transform --numeric`, `trace` and `uncertainty` gate on
 the same checks as their `verify` suites, applied to the one input given:
 exit 3 means one of them failed (the record is still written, and stderr
@@ -24,6 +25,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -73,8 +75,10 @@ class RunRecord:
     def to_json(self) -> str:
         try:
             return json.dumps(self.to_dict(), separators=(",", ":"), allow_nan=False)
-        except ValueError as exc:  # a NaN or infinity has no JSON form
-            raise quadrature.NumericContractError(f"run record is not finite: {exc}") from exc
+        except ValueError as exc:  # a NaN or infinity has no JSON form; name each one
+            bad = re.findall(r'"(\w+)": (-?Infinity|NaN)', json.dumps(self.to_dict()))
+            names = ", ".join(f"{key} = {float(value)!r}" for key, value in bad)
+            raise quadrature.NumericContractError(f"run record is not finite: {names}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
@@ -112,10 +116,7 @@ def parse_grid(text: str) -> list[float]:
             raise ValueError("grid needs at least one value")
         fn = np.logspace if kind == "logspace" else np.linspace
         return [float(v) for v in fn(float(start), float(stop), count)]
-    values = [float(v) for v in text.split(",")]
-    if not values:
-        raise ValueError("empty grid")
-    return values
+    return [float(v) for v in text.split(",")]  # '' is one empty item, which float refuses
 
 
 def _default_seed(args) -> int:
@@ -123,23 +124,6 @@ def _default_seed(args) -> int:
         return args.seed
     env = os.environ.get("BEREZIN_SEED")
     return int(env) if env else 0
-
-
-def _positive(kind):
-    def convert(text):
-        value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-        return value
-
-    return convert
-
-
-def _non_negative_float(text):
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return value
 
 
 # -- commands -----------------------------------------------------------------
@@ -153,8 +137,6 @@ def cmd_transform(args) -> tuple[RunRecord, list]:
     checks = []
     if args.numeric is not None:
         point = parse_point(args.at) if args.at else ComplexPoint.origin(args.n)
-        if point.dim != args.n:
-            raise ValueError(f"--at has {point.dim} coordinates, expected {args.n}")
         numeric, reference, deviation, check = verify.transform_check(symbol, point, q, order=args.numeric)
         results["numeric_value"] = {"re": numeric.real, "im": numeric.imag}
         results["closed_value_at_point"] = reference
@@ -312,32 +294,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_transform = sub.add_parser("transform", help="closed-form smoothing transform of a Gaussian symbol")
-    p_transform.add_argument("--n", type=_positive(int), default=1, help="complex dimension")
-    p_transform.add_argument("--lambda", dest="lam", type=_non_negative_float, required=True)
-    p_transform.add_argument("--alpha", type=_positive(float), required=True)
-    p_transform.add_argument("--amplitude", type=_positive(float), default=1.0)
-    p_transform.add_argument("--numeric", type=_positive(int), metavar="ORDER", default=None,
+    p_transform.add_argument("--n", type=int, default=1, help="complex dimension")
+    p_transform.add_argument("--lambda", dest="lam", type=float, required=True)
+    p_transform.add_argument("--alpha", type=float, required=True)
+    p_transform.add_argument("--amplitude", type=float, default=1.0)
+    p_transform.add_argument("--numeric", type=int, metavar="ORDER", default=None,
                              help="also evaluate by centred Gauss-Hermite quadrature at this rule order")
     p_transform.add_argument("--at", default=None, metavar="POINT",
                              help="evaluation point 're,im;re,im;...' (default: origin)")
     p_transform.set_defaults(handler=cmd_transform)
 
     p_trace = sub.add_parser("trace", help="normalized trace of the squared transformed symbol")
-    p_trace.add_argument("--n", type=_positive(int), default=1)
-    p_trace.add_argument("--lambda", dest="lam", type=_positive(float), required=True)
-    p_trace.add_argument("--alpha", type=_positive(float), required=True)
+    p_trace.add_argument("--n", type=int, default=1)
+    p_trace.add_argument("--lambda", dest="lam", type=float, required=True)
+    p_trace.add_argument("--alpha", type=float, required=True)
     p_trace.set_defaults(handler=cmd_trace)
 
     p_unc = sub.add_parser("uncertainty", help="variance identity of the compressed Gaussian state")
-    p_unc.add_argument("--lambda", dest="lam", type=_positive(float), required=True)
-    p_unc.add_argument("--K", type=_positive(float), default=1.0, help="amplitude")
+    p_unc.add_argument("--lambda", dest="lam", type=float, required=True)
+    p_unc.add_argument("--K", type=float, default=1.0, help="amplitude")
     p_unc.set_defaults(handler=cmd_uncertainty)
 
     p_sweep = sub.add_parser("sweep", help="tabulate a quantity over parameter grids (CSV)")
     p_sweep.add_argument("--quantity", choices=_SWEEP_QUANTITIES, required=True)
-    p_sweep.add_argument("--n", type=_positive(int), default=1)
-    p_sweep.add_argument("--lambda", dest="lam", type=_non_negative_float, default=1.0)
-    p_sweep.add_argument("--alpha", type=_positive(float), default=1.0)
+    p_sweep.add_argument("--n", type=int, default=1)
+    p_sweep.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p_sweep.add_argument("--alpha", type=float, default=1.0)
     p_sweep.add_argument("--lambdas", default=None, help="grid: '0.5,1,2' or 'logspace:a:b:num'")
     p_sweep.add_argument("--alphas", default=None, help="grid: '1,10' or 'logspace:0:6:13'")
     p_sweep.add_argument("--out", required=True, help="CSV output path")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from operator import index
 from typing import Sequence, Union
 
@@ -46,8 +47,32 @@ class NumericContractError(ValueError):
 
 def _is_integer(k) -> bool:
     """The library's one integer test: int-like (has __index__, so numpy
-    integers pass) and not bool.  Callers store `operator.index(k)`."""
+    integers pass) and not bool."""
     return not isinstance(k, bool) and hasattr(k, "__index__")
+
+
+def _integer(name: str, value, low: int, high: float = math.inf) -> int:
+    """`operator.index(value)` for an integer in [low, high]; anything else
+    (bool, float, str, out of range) raises a ValueError naming `name`."""
+    if _is_integer(value) and low <= index(value) <= high:
+        return index(value)
+    if high < math.inf:
+        rule = f"an integer in [{low}, {high}]"
+    else:
+        rule = {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _real(name: str, value, zero: bool = False) -> float:
+    """`float(value)` for a finite real number (numpy floats and integers
+    pass) above 0, or at 0 when `zero`; anything else (bool, str, NaN, an
+    infinity, out of range) raises a ValueError naming `name`."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        x = float(value)
+        if math.isfinite(x) and (x > 0.0 or (zero and x == 0.0)):
+            return x
+    rule = "non-negative and finite" if zero else "positive and finite"
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -97,10 +122,7 @@ class QuantParams:
     alpha: float
 
     def __post_init__(self):
-        a = float(self.alpha)
-        if not (math.isfinite(a) and a > 0.0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha))
 
     @property
     def h(self) -> float:
@@ -119,17 +141,9 @@ class GaussianSymbol:
     compression: float = 0.0
 
     def __post_init__(self):
-        if not (_is_integer(self.dim) and self.dim >= 1):
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        amp = float(self.amplitude)
-        lam = float(self.compression)
-        if not (math.isfinite(amp) and amp > 0.0):
-            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude!r}")
-        if not (math.isfinite(lam) and lam >= 0.0):
-            raise ValueError(f"compression must be non-negative and finite, got {self.compression!r}")
-        object.__setattr__(self, "dim", index(self.dim))
-        object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "compression", lam)
+        object.__setattr__(self, "dim", _integer("dim", self.dim, 1))
+        object.__setattr__(self, "amplitude", _real("amplitude", self.amplitude))
+        object.__setattr__(self, "compression", _real("compression", self.compression, zero=True))
 
     def __call__(self, z: PointLike) -> float:
         return evaluate(self, z)
@@ -233,14 +247,10 @@ def gaussian_moment(k: int, a: float) -> float:
     Equals 1*3*5***(k-1) * sqrt(pi) / (2^(k/2) * a^((k+1)/2)); k = 0 gives
     sqrt(pi/a).  Odd k raises (see `odd_moment_vanishes`).
     """
-    if not (_is_integer(k) and k >= 0):
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    k = index(k)
+    k = _integer("k", k, 0)
     if k % 2:
         raise ValueError(f"odd power k={k}: the moment vanishes by symmetry (use odd_moment_vanishes)")
-    a = float(a)
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"a must be positive and finite, got {a!r}")
+    a = _real("a", a)
     if k == 0:
         return math.sqrt(math.pi / a)
     double_factorial = 1.0
@@ -251,6 +261,4 @@ def gaussian_moment(k: int, a: float) -> float:
 
 def odd_moment_vanishes(k: int) -> bool:
     """True when x^k * exp(-a*x^2) integrates to zero by symmetry (odd k)."""
-    if not (_is_integer(k) and k >= 0):
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    return bool(index(k) % 2)
+    return bool(_integer("k", k, 0) % 2)

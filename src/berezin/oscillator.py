@@ -27,12 +27,11 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from operator import index
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .gaussian_calculus import _is_integer
+from .gaussian_calculus import _integer, _real
 from .quadrature import NumericContractError, gauss_hermite, integrate
 
 __all__ = [
@@ -58,13 +57,8 @@ class OscillatorSpec:
     h: float = 1.0
 
     def __post_init__(self):
-        if not (_is_integer(self.dim) and self.dim >= 1):
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        h = float(self.h)
-        if not (math.isfinite(h) and h > 0.0):
-            raise ValueError(f"h must be positive and finite, got {self.h!r}")
-        object.__setattr__(self, "dim", index(self.dim))
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "dim", _integer("dim", self.dim, 1))
+        object.__setattr__(self, "h", _real("h", self.h))
 
 
 @dataclass(frozen=True)
@@ -75,13 +69,8 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
-        if not (_is_integer(self.points) and self.points >= 3):
-            raise ValueError(f"points must be an integer >= 3, got {self.points!r}")
-        object.__setattr__(self, "points", index(self.points))
-        half_width = float(self.half_width)
-        if not (math.isfinite(half_width) and half_width > 0.0):
-            raise ValueError(f"half_width must be positive, got {self.half_width!r}")
-        object.__setattr__(self, "half_width", half_width)
+        object.__setattr__(self, "points", _integer("points", self.points, 3))
+        object.__setattr__(self, "half_width", _real("half_width", self.half_width))
 
     def coordinates(self) -> tuple[np.ndarray, float]:
         spacing = 2.0 * self.half_width / (self.points + 1)
@@ -106,9 +95,7 @@ def spectrum(spec: OscillatorSpec, grid: GridSpec, levels: int) -> np.ndarray:
     one-dimensional levels by dim (diagonal levels n*(2j + h)).  Coarse
     grids produce a warning-carrying result.
     """
-    if not (_is_integer(levels) and 1 <= levels <= 10):
-        raise ValueError(f"levels must be an integer in [1, 10], got {levels!r}")
-    levels = index(levels)
+    levels = _integer("levels", levels, 1, 10)
     # imported here so that importing the package does not load scipy
     from scipy.linalg import eigvalsh_tridiagonal
 
@@ -159,6 +146,9 @@ def eigenstate_residual(
     h: float = 1.0,
 ) -> float:
     """||H psi - E psi|| / ||psi|| for the discretized H = x^2 - d2 + (h-1)."""
+    h = _real("h", h)
+    if not np.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy!r}")
     x, dx = grid.coordinates()
     psi = _sample_state(state, x)
     norm = _norm_guard(psi, dx)
@@ -189,6 +179,7 @@ def ladder_identity_residual(
     """
     if not test_states:
         raise ValueError("need at least one test state")
+    h = _real("h", h)
     x, dx = grid.coordinates()
     worst = 0.0
     for state in test_states:
@@ -215,6 +206,7 @@ def commutator_residual(grid: GridSpec, h: float = 1.0) -> float:
     Checks ||(x p - p x) psi - i h psi|| / ||psi|| with p = -i*h*d/dx by
     central differences.
     """
+    h = _real("h", h)
     x, dx = grid.coordinates()
     worst = 0.0
     for state in _COMMUTATOR_STATES:
@@ -259,16 +251,6 @@ class UncertaintyReport:
         return self.var_p / self.norm_sq
 
 
-def _validate_uncertainty_args(lam: float, amplitude: float) -> tuple[float, float]:
-    lam = float(lam)
-    amplitude = float(amplitude)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"compression must be positive, got {lam!r}")
-    if not (math.isfinite(amplitude) and amplitude > 0.0):
-        raise ValueError(f"amplitude must be positive, got {amplitude!r}")
-    return lam, amplitude
-
-
 def _report(lam: float, amplitude: float, **moments: float) -> UncertaintyReport:
     # each moment is finite in exact arithmetic, and rhs and norm_sq, which
     # divide the ratio and the normalized variances, are positive; a double
@@ -284,24 +266,25 @@ def _report(lam: float, amplitude: float, **moments: float) -> UncertaintyReport
 
 
 def uncertainty_report(lam: float, amplitude: float = 1.0) -> UncertaintyReport:
-    """Closed-form moments of psi = K exp(-lam*x^2/(2*(1+lam))).
+    """Closed-form moments of psi = K exp(-lam*x^2/(2*(1+lam))), in r = (1+lam)/lam:
 
-    var_x = K^2 sqrt(pi) (1+lam)^(3/2) / (2 lam^(3/2)),
-    var_p = K^2 sqrt(pi) lam^(1/2) / (2 (1+lam)^(1/2)),
-    rhs   = K^4 pi (1+lam) / (4 lam);  var_x*var_p = rhs identically.
+    var_x = K^2 sqrt(pi) r^(3/2) / 2,   var_p = K^2 sqrt(pi) r^(-1/2) / 2,
+    rhs   = K^4 pi r / 4,               norm_sq = K^2 sqrt(pi r);
+    var_x*var_p = rhs identically.  r is 1 to round-off for large lam and
+    overflows only as lam underflows, so no inf/inf arises.
     """
-    lam, amplitude = _validate_uncertainty_args(lam, amplitude)
+    lam, amplitude = _real("lambda", lam), _real("K", amplitude)
     k2 = amplitude * amplitude
-    sqrt_pi = math.sqrt(math.pi)
-    one = 1.0 + lam
-    denominator = 2.0 * lam * math.sqrt(lam)  # 0 where lambda^(3/2) underflows
+    r = (1.0 + lam) / lam
+    root = math.sqrt(r)
+    half = 0.5 * k2 * math.sqrt(math.pi)
     return _report(
         lam,
         amplitude,
-        var_x=k2 * sqrt_pi * one * math.sqrt(one) / denominator if denominator else math.inf,
-        var_p=k2 * sqrt_pi * math.sqrt(lam) / (2.0 * math.sqrt(one)),
-        rhs=k2 * k2 * math.pi * one / (4.0 * lam),
-        norm_sq=k2 * math.sqrt(math.pi * one / lam),
+        var_x=half * r * root,
+        var_p=half / root,
+        rhs=0.25 * k2 * k2 * math.pi * r,
+        norm_sq=k2 * math.sqrt(math.pi * r),
     )
 
 
@@ -311,7 +294,7 @@ def uncertainty_quadrature(lam: float, amplitude: float = 1.0, order: int = 80) 
     Integrates x^2 psi^2, (d psi/dx)^2 (analytic derivative), and psi^2
     directly; an independent route to the closed forms.
     """
-    lam, amplitude = _validate_uncertainty_args(lam, amplitude)
+    lam, amplitude = _real("lambda", lam), _real("K", amplitude)
     k2 = amplitude * amplitude
     a = lam / (1.0 + lam)
     rules = [gauss_hermite(order)]

@@ -34,15 +34,15 @@ results are reproducible run-to-run.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .gaussian_calculus import GaussianSymbol, NumericContractError, PointLike, QuantParams, _is_integer, as_point
+from .gaussian_calculus import GaussianSymbol, NumericContractError, PointLike, QuantParams, _integer, as_point
 
 __all__ = [
     "MonteCarloConfig",
@@ -95,12 +95,8 @@ class MonteCarloConfig:
     seed: int
 
     def __post_init__(self):
-        if not (_is_integer(self.samples) and self.samples >= 1000):
-            raise ValueError(f"samples must be an integer >= 1000, got {self.samples!r}")
-        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
-        object.__setattr__(self, "samples", operator.index(self.samples))
-        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "samples", _integer("samples", self.samples, 1000))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0, 2**64 - 1))  # an unsigned 64-bit integer
 
 
 def tree_sum(values):
@@ -164,9 +160,7 @@ def gauss_hermite(order: int) -> QuadratureRule1D:
     the 16 most recently used orders, so a repeated order returns the same
     object.
     """
-    if not (_is_integer(order) and 1 <= order <= MAX_RULE_ORDER):
-        raise ValueError(f"order must be an integer in [1, {MAX_RULE_ORDER}], got {order!r}")
-    return _build_rule(operator.index(order))
+    return _build_rule(_integer("order", order, 1, MAX_RULE_ORDER))
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
@@ -269,14 +263,12 @@ def berezin_transform_numeric(
     order-40 rule misses the closed form by 1.5e-7 relative, an order-80
     rule by 1.2e-14.
     """
-    point = as_point(z)
+    point = as_point(z, f.dim if isinstance(f, GaussianSymbol) else None)
     n = point.dim
     rule = gauss_hermite(order)
     spread = 1.0 / math.sqrt(q.alpha)
 
     if isinstance(f, GaussianSymbol):
-        if f.dim != n:
-            raise ValueError(f"dimension mismatch: symbol dim {f.dim}, point dim {n}")
         offsets = spread * rule.nodes
         mass = tree_sum(rule.weights)
         value = f.amplitude
@@ -316,12 +308,12 @@ def monte_carlo_transform(
     is evaluated in place on those rows.  A callable receives n complex
     coordinate arrays, w_j = z_j + X[:, 2j] + i*X[:, 2j+1] with
     X = default_rng(seed).normal(0, sigma, (N, 2n)).  A non-finite value
-    raises, naming the sample (for a symbol, Re w drawn and Im w = Im z).
+    raises, naming the sample (for a symbol, Re w drawn and Im w = Im z); so
+    does a mean or standard error that overflows, naming it (and a symbol's
+    amplitude).
     """
-    point = as_point(z)
+    point = as_point(z, f.dim if isinstance(f, GaussianSymbol) else None)
     n = point.dim
-    if isinstance(f, GaussianSymbol) and f.dim != n:
-        raise ValueError(f"dimension mismatch: symbol dim {f.dim}, point dim {n}")
     sigma = math.sqrt(1.0 / (2.0 * q.alpha))
     if isinstance(f, GaussianSymbol):
         rows = np.random.default_rng(cfg.seed).standard_normal((n, cfg.samples))
@@ -340,8 +332,13 @@ def monte_carlo_transform(
         values = np.asarray(f(*coords))
     if not np.all(np.isfinite(values)):
         raise NumericContractError(f"integrand is non-finite at sample {_sample(f, point, sigma, cfg, values)}")
-    mean = np.mean(values)
-    stderr = math.sqrt(float(np.sum(np.abs(values - mean) ** 2)) / (cfg.samples * (cfg.samples - 1)))
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below, by name
+        mean = np.mean(values)
+        stderr = math.sqrt(float(np.sum(np.abs(values - mean) ** 2)) / (cfg.samples * (cfg.samples - 1)))
+    if not (cmath.isfinite(mean) and math.isfinite(stderr)):
+        what = f"estimate {complex(mean)!r}" if not cmath.isfinite(mean) else f"standard error {stderr!r}"
+        at = f" at amplitude={f.amplitude!r}" if isinstance(f, GaussianSymbol) else ""
+        raise NumericContractError(f"Monte-Carlo {what} is not finite{at}")
     return complex(mean), stderr
 
 

@@ -50,6 +50,7 @@ from .gaussian_calculus import (
     GaussianSymbol,
     PointLike,
     QuantParams,
+    _integer,
     _is_integer,
     _real_square_sum,
     as_point,
@@ -73,12 +74,6 @@ __all__ = [
 BRACKET_NORMALIZATION = 2.0 * math.pi / 1j
 
 
-def _validate_axis(axis, dim: int) -> int:
-    if not (_is_integer(axis) and 0 <= axis < dim):
-        raise ValueError(f"axis {axis!r} is out of range for dim {dim}")
-    return index(axis)
-
-
 def _validate_index(entries, dim: int) -> tuple:
     entries = tuple(entries)
     if not all(map(_is_integer, entries)):
@@ -99,9 +94,7 @@ class PolynomialSymbol:
     terms: tuple  # ((beta, gamma, coeff), ...) with complex coeff, no zeros
 
     def __post_init__(self):
-        if not (_is_integer(self.dim) and self.dim >= 1):
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        object.__setattr__(self, "dim", index(self.dim))
+        object.__setattr__(self, "dim", _integer("dim", self.dim, 1))
         merged: dict = {}
         for beta, gamma, coeff in self.terms:
             key = (_validate_index(beta, self.dim), _validate_index(gamma, self.dim))
@@ -132,20 +125,22 @@ class PolynomialSymbol:
 
     @classmethod
     def constant(cls, dim: int, value: complex) -> "PolynomialSymbol":
-        zeros = (0,) * dim
+        zeros = (0,) * _integer("dim", dim, 1)
         return cls(dim, ((zeros, zeros, value),))
 
     @classmethod
     def coordinate(cls, dim: int, axis: int = 0) -> "PolynomialSymbol":
         """The symbol z_axis."""
-        axis = _validate_axis(axis, dim)
+        dim = _integer("dim", dim, 1)
+        axis = _integer("axis", axis, 0, dim - 1)
         beta = tuple(1 if j == axis else 0 for j in range(dim))
         return cls(dim, ((beta, (0,) * dim, 1.0),))
 
     @classmethod
     def conj_coordinate(cls, dim: int, axis: int = 0) -> "PolynomialSymbol":
         """The symbol conj(z_axis)."""
-        axis = _validate_axis(axis, dim)
+        dim = _integer("dim", dim, 1)
+        axis = _integer("axis", axis, 0, dim - 1)
         gamma = tuple(1 if j == axis else 0 for j in range(dim))
         return cls(dim, (((0,) * dim, gamma, 1.0),))
 
@@ -218,11 +213,11 @@ class PolynomialSymbol:
 
     def deriv_z(self, axis: int) -> "PolynomialSymbol":
         """Holomorphic derivative d/dz_axis."""
-        return PolynomialSymbol._canonical(self.dim, self._derivative(_validate_axis(axis, self.dim), False))
+        return PolynomialSymbol._canonical(self.dim, self._derivative(_integer("axis", axis, 0, self.dim - 1), False))
 
     def deriv_zbar(self, axis: int) -> "PolynomialSymbol":
         """Antiholomorphic derivative d/dconj(z_axis)."""
-        return PolynomialSymbol._canonical(self.dim, self._derivative(_validate_axis(axis, self.dim), True))
+        return PolynomialSymbol._canonical(self.dim, self._derivative(_integer("axis", axis, 0, self.dim - 1), True))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -351,9 +346,7 @@ def _bidifferential(
 
 def c_term(f: PolynomialSymbol, g: PolynomialSymbol, j: int) -> PolynomialSymbol:
     """C_j(f, g): the monomial-pair coefficients perm(b1, beta) perm(g2, beta) / beta!, |beta| = j."""
-    if not (_is_integer(j) and j >= 0):
-        raise ValueError(f"order must be a non-negative integer, got {j!r}")
-    return _bidifferential(f, g, 1.0, index(j))
+    return _bidifferential(f, g, 1.0, _integer("order", j, 0))
 
 
 def wick_star(f: PolynomialSymbol, g: PolynomialSymbol, q: QuantParams) -> PolynomialSymbol:

@@ -27,6 +27,7 @@ from .gaussian_calculus import (
     GaussianSymbol,
     PointLike,
     QuantParams,
+    _integer,
     berezin_transform_closed,
     evaluate,
     heat_evolve,
@@ -314,6 +315,7 @@ SUITE_NAMES = tuple(SUITES) + ("all",)
 
 def run_suites(name: str = "all", seed: int = 0) -> list[CheckResult]:
     """Run one named suite (or all of them) deterministically."""
+    seed = _integer("seed", seed, 0)
     if name == "all":
         names = tuple(SUITES)
     elif name in SUITES:

@@ -187,6 +187,11 @@ class TestReproducing:
             residual = reproducing_residual(p, (0.2 + 0.1j, -0.3 + 0.2j), QuantParams(1.5), gauss_hermite(40))
             assert residual < 1e-8
 
+    def test_three_dim_refused_by_integrate(self):
+        z3 = PolynomialSymbol.coordinate(3, 2)
+        with pytest.raises(ValueError, match="1 <= d <= 4, got 6"):
+            reproducing_residual(z3, (0j, 0j, 0.1j), QuantParams(1.0), gauss_hermite(10))
+
     def test_two_dim_memory_bounded(self):
         # the m^4 grid is summed in m^3 chunks, never held whole
         z1 = PolynomialSymbol.coordinate(2, 0)

@@ -1,17 +1,20 @@
 """CLI contract: JSON records, exit codes, sweeps, determinism."""
 
+import argparse
 import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from berezin import bergman_space, oscillator, verify
-from berezin.cli import RunRecord, main, parse_grid, parse_point
+from berezin.cli import RunRecord, build_parser, main, parse_grid, parse_point
 from berezin.gaussian_calculus import GaussianSymbol, QuantParams, taylor_remainder
 from berezin.quadrature import NumericContractError
 
@@ -193,9 +196,10 @@ class TestTransformCommand:
         assert "order" in err
 
     def test_bad_flags_exit_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["transform", "--n", "1", "--lambda", "-1", "--alpha", "1"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, "transform", "--n", "1", "--lambda", "-1", "--alpha", "1")
+        assert code == 2
+        assert out == ""
+        assert "compression" in err
 
     def test_json_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "transform", "--n", "2", "--lambda", "0.5", "--alpha", "2")
@@ -207,6 +211,17 @@ class TestTransformCommand:
         record = RunRecord(command="transform", parameters={}, results={"deviation": float("nan")})
         with pytest.raises(NumericContractError, match="not finite"):
             record.to_json()
+
+    def test_non_finite_record_names_the_field(self, capsys):
+        # the closed value is 8.2e-218 and the order-1 rule misses by 1.7e106, so the ratio overflows
+        code, out, err = run_cli(
+            capsys,
+            "transform", "--n", "2", "--lambda", "4.75740249720965e+170", "--alpha", "2.1043392406823821e-153",
+            "--amplitude", "1.6691860095976671e+106", "--numeric", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert "run record is not finite: relative_deviation = inf" in err
 
     def test_results_field_reproducible(self, capsys):
         argv = ("transform", "--n", "1", "--lambda", "1.5", "--alpha", "2.5", "--numeric", "40")
@@ -287,7 +302,7 @@ class TestUncertaintyCommand:
         assert "quadrature-moment ratio equals 1" in err
 
     def test_moment_beyond_double_range_is_contract_error(self, capsys):
-        # 2 * lambda^(3/2) underflows to 0, so var_x is beyond the double range
+        # r = (1 + lambda)/lambda = 1e300, so var_x ~ r^(3/2) is beyond the double range
         code, out, err = run_cli(capsys, "uncertainty", "--lambda", "1e-300")
         assert code == 3
         assert out == ""
@@ -300,10 +315,11 @@ class TestUncertaintyCommand:
         assert out == ""
         assert "rhs = 1.571e-320" in err and "K=1e-80" in err
 
-    def test_negative_compression_exits_two(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["uncertainty", "--lambda", "-1"])
-        assert exc.value.code == 2
+    def test_negative_compression_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "uncertainty", "--lambda", "-1")
+        assert code == 2
+        assert out == ""
+        assert "lambda" in err
 
 
 class TestSweepCommand:
@@ -429,7 +445,70 @@ class TestVerifyCommand:
         )
         assert json.loads(out.stdout)["seed"] == 123
 
+    def test_negative_seed_is_refused_by_name(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "star", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed must be a non-negative integer, got -1" in err
+
     def test_unknown_suite_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
+
+
+# -- every command over its declared argument domain ---------------------------
+
+# text for a float flag: 10^U(-300, 300), or a value at or beyond the edge of a domain
+REAL_TEXT = st.one_of(
+    st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e)),
+    st.sampled_from(["0", "-1", "nan", "inf"]),
+)
+# text for an int flag: dimensions and rule orders, in range and out of it
+INTEGER_TEXT = st.integers(-1, 400).map(str)
+# what a refusal or a failed check names: a parameter, a moment or a reported quantity
+NAMED = re.compile(
+    r"\b(dim|order|alpha|amplitude|compression|lambda|K|var_x|var_p|rhs|norm_sq|ratio|relative_deviation)\b"
+)
+
+
+def _command_argv(command: str, out: str):
+    """A strategy of argv for one subcommand, read off its argparse actions:
+    each float, int or choice flag is drawn (an optional one may be left at
+    its default), `--out` is a file, and other text flags keep their default."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = []
+    for action in sub.choices[command]._actions:
+        if action.choices:
+            values = st.sampled_from(list(action.choices))
+        elif action.type in (float, int):
+            values = REAL_TEXT if action.type is float else INTEGER_TEXT
+        elif action.dest == "out":
+            values = st.just(out)
+        else:
+            continue
+        flags.append(st.tuples(st.just(action.option_strings[0]), values if action.required else st.none() | values))
+    return st.tuples(*flags).map(lambda pairs: [command] + [t for flag, v in pairs if v is not None for t in (flag, v)])
+
+
+class TestDeclaredDomain:
+    @pytest.mark.parametrize("command", ["transform", "trace", "uncertainty", "sweep"])
+    @settings(
+        max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_exit_code_classifies_every_input(self, command, data, capsys, tmp_path):
+        argv = data.draw(_command_argv(command, str(tmp_path / "sweep.csv")))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the text
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3), (argv, err)
+        if code == 0:
+            # a NaN or infinity would parse as a constant
+            record = json.loads(out, parse_constant=lambda c: pytest.fail(f"{argv}: non-finite {c} in the record"))
+            assert record["command"] == command
+        else:  # a failed check (exit 3) still writes its record
+            assert out == "" or code == 3
+            assert NAMED.search(err), (argv, err)

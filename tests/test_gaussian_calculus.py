@@ -6,6 +6,7 @@ being asserted here.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,15 +22,21 @@ from berezin import (
     QuantParams,
     WeightSpec,
     berezin_transform_closed,
+    commutator_residual,
+    eigenstate_residual,
     evaluate,
     gauss_hermite,
     gaussian_moment,
     heat_evolve,
+    ladder_identity_residual,
     odd_moment_vanishes,
+    purity_index,
     scaled,
     spectrum,
     taylor_remainder,
     transform_compose,
+    uncertainty_quadrature,
+    uncertainty_report,
 )
 from berezin.gaussian_calculus import NumericContractError
 
@@ -251,7 +258,7 @@ class TestGaussianMoment:
                 assert numeric == pytest.approx(gaussian_moment(k, a), rel=1e-12)
 
 
-# every integer parameter goes through gaussian_calculus._is_integer: bool,
+# every integer parameter goes through gaussian_calculus._integer: bool,
 # float and str are refused; numpy integers are accepted and stored as int
 INTEGER_PARAMETERS = {
     "GaussianSymbol.dim": (2, lambda k: GaussianSymbol(dim=k).dim),
@@ -263,6 +270,7 @@ INTEGER_PARAMETERS = {
     "spectrum.levels": (2, lambda k: spectrum(OscillatorSpec(), GridSpec(6.0, 500), k).size),
     "WeightSpec.dim": (2, lambda k: WeightSpec(dim=k, alpha=1.0).dim),
     "PolynomialSymbol.dim": (2, lambda k: PolynomialSymbol(k, ()).dim),
+    "PolynomialSymbol.constant": (2, lambda k: PolynomialSymbol.constant(k, 1.0).dim),
     "gaussian_moment.k": (2, lambda k: gaussian_moment(k, 1.0)),
 }
 
@@ -282,4 +290,54 @@ class TestIntegerParameters:
         value, build = INTEGER_PARAMETERS[name]
         bad = {"bool": True, "float": float(value), "str": str(value)}[kind]
         with pytest.raises(ValueError):
+            build(bad)
+
+
+def _gaussian(x):
+    return np.exp(-x * x / 2.0)
+
+
+RESIDUAL_GRID = GridSpec(10.0, 1000)
+
+# every real parameter goes through gaussian_calculus._real: (valid value,
+# call returning what is stored or computed, name in the refusal, 0 allowed)
+REAL_PARAMETERS = {
+    "QuantParams.alpha": (2.0, lambda x: QuantParams(x).alpha, "alpha", False),
+    "GaussianSymbol.amplitude": (2.0, lambda x: GaussianSymbol(1, x).amplitude, "amplitude", False),
+    "GaussianSymbol.compression": (0.5, lambda x: GaussianSymbol(1, 1.0, x).compression, "compression", True),
+    "WeightSpec.alpha": (2.0, lambda x: WeightSpec(1, x).alpha, "alpha", False),
+    "OscillatorSpec.h": (0.5, lambda x: OscillatorSpec(h=x).h, "h", False),
+    "GridSpec.half_width": (6.0, lambda x: GridSpec(x, 500).half_width, "half_width", False),
+    "purity_index.lam": (0.5, lambda x: purity_index(x, QuantParams(1.0)).lam, "lambda", False),
+    "gaussian_moment.a": (2.0, lambda x: gaussian_moment(2, x), "a", False),
+    "uncertainty_report.lam": (0.5, lambda x: uncertainty_report(x).lam, "lambda", False),
+    "uncertainty_report.amplitude": (2.0, lambda x: uncertainty_report(1.0, x).amplitude, "K", False),
+    "uncertainty_quadrature.lam": (0.5, lambda x: uncertainty_quadrature(x).lam, "lambda", False),
+    "uncertainty_quadrature.amplitude": (2.0, lambda x: uncertainty_quadrature(1.0, x).amplitude, "K", False),
+    "commutator_residual.h": (0.5, lambda x: commutator_residual(RESIDUAL_GRID, h=x), "h", False),
+    "ladder_identity_residual.h": (
+        0.5, lambda x: ladder_identity_residual([_gaussian], RESIDUAL_GRID, h=x), "h", False,
+    ),
+    "eigenstate_residual.h": (0.5, lambda x: eigenstate_residual(RESIDUAL_GRID, _gaussian, 0.5, h=x), "h", False),
+}
+
+
+class TestRealParameters:
+    @pytest.mark.parametrize("name", REAL_PARAMETERS)
+    @pytest.mark.parametrize("make", [np.float64, np.float32])
+    def test_numpy_float_accepted(self, name, make):
+        value, build, _, _ = REAL_PARAMETERS[name]
+        result = build(make(value))
+        assert result == build(value)
+        assert type(result) is float
+
+    @pytest.mark.parametrize("name", REAL_PARAMETERS)
+    @pytest.mark.parametrize("bad", [True, math.nan, math.inf, -math.inf, -1.0, 0.0, "1.0"], ids=repr)
+    def test_refused_by_name(self, name, bad):
+        _, build, param, zero_allowed = REAL_PARAMETERS[name]
+        if bad == 0.0 and zero_allowed and not isinstance(bad, bool):
+            assert build(bad) == 0.0
+            return
+        rule = "non-negative and finite" if zero_allowed else "positive and finite"
+        with pytest.raises(ValueError, match=rf"^{re.escape(param)} must be {rule}, got "):
             build(bad)

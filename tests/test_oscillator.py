@@ -84,6 +84,11 @@ class TestEigenResiduals:
         residual = eigenstate_residual(GRID, lambda x: x * gaussian(x), energy=3.0, h=1.0)
         assert residual <= 1e-4
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_non_finite_energy_refused(self, energy):
+        with pytest.raises(ValueError, match="^energy must be finite"):
+            eigenstate_residual(GRID, lambda x: np.exp(-x * x / 2.0), energy)
+
     def test_requires_one_dim(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             ground_state_residual(OscillatorSpec(dim=2, h=1.0), GRID)
@@ -182,8 +187,7 @@ class TestUncertainty:
     @pytest.mark.parametrize(
         "compute,lam,amplitude,moment",
         [
-            (uncertainty_report, 1e-300, 1.0, "var_x = inf"),  # lambda^(3/2) underflows
-            (uncertainty_report, 1e300, 1.0, "var_x = nan"),  # (1 + lambda)^(3/2) overflows
+            (uncertainty_report, 1e-300, 1.0, "var_x = inf"),  # r^(3/2) overflows
             (uncertainty_report, 1.0, 1e160, "var_x = inf"),
             (uncertainty_quadrature, 1.0, 1e-90, "rhs = 0.0"),  # K^4 underflows
             (uncertainty_report, 1.0, 1e-80, "rhs = 1.571e-320"),  # K^4 is sub-normal
@@ -193,6 +197,15 @@ class TestUncertainty:
     def test_moment_beyond_double_range_raises(self, compute, lam, amplitude, moment):
         with pytest.raises(NumericContractError, match=re.escape(moment) + ".*lambda="):
             compute(lam, amplitude)
+
+    def test_huge_lambda_has_finite_moments(self):
+        # r = (1 + lam)/lam rounds to 1, where (1 + lam)^(3/2) / lam^(3/2) was inf/inf
+        for lam in (1e275, 1e300, 1.7e308):
+            closed, numeric = uncertainty_report(lam), uncertainty_quadrature(lam)
+            assert abs(closed.ratio - 1.0) <= 1e-15
+            assert abs(numeric.ratio - 1.0) <= 1e-15
+            assert closed.var_x == pytest.approx(numeric.var_x, rel=1e-14)
+            assert closed.var_x == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-15)
 
     def test_one_node_rule_reports_failed_ratio(self):
         # the order-1 rule has its only node at 0, so both second moments vanish

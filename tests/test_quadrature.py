@@ -381,12 +381,30 @@ class TestMonteCarlo:
             with pytest.raises(NumericContractError, match=re.escape(f"non-finite at sample {(sample,)}")):
                 monte_carlo_transform(lambda w: 1.0 / (w.real - w.real), 0.5 + 0j, QuantParams(1.0), cfg)
 
+    @pytest.mark.parametrize(
+        "amplitude,compression,refused",
+        [
+            (1e305, 0.0, r"estimate \(inf\+0j\) is not finite at amplitude=1e\+305"),  # the mean's sum overflows
+            (1e160, 1.0, r"standard error inf is not finite at amplitude=1e\+160"),  # squared deviations overflow
+        ],
+        ids=["mean", "stderr"],
+    )
+    def test_overflowing_estimate_is_refused(self, amplitude, compression, refused):
+        cfg = MonteCarloConfig(samples=100_000, seed=3)
+        with pytest.raises(NumericContractError, match="Monte-Carlo " + refused):
+            monte_carlo_transform(GaussianSymbol(1, amplitude, compression), 0j, QuantParams(1.0), cfg)
+
+    def test_overflowing_callable_estimate_is_refused(self):
+        cfg = MonteCarloConfig(samples=100_000, seed=3)
+        with pytest.raises(NumericContractError, match=r"Monte-Carlo estimate \(inf\+0j\) is not finite$"):
+            monte_carlo_transform(lambda w: np.full(w.shape, 1e305), 0j, QuantParams(1.0), cfg)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match=">= 1000"):
             MonteCarloConfig(samples=10, seed=0)
-        with pytest.raises(ValueError, match="64-bit"):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 18446744073709551615\]"):
             MonteCarloConfig(samples=1000, seed=-1)
-        with pytest.raises(ValueError, match="64-bit"):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 18446744073709551615\]"):
             MonteCarloConfig(samples=1000, seed=2**64)
 
 

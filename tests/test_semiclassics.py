@@ -145,7 +145,7 @@ class TestPolynomialSymbol:
         ids=["coordinate", "conj_coordinate", "bool", "deriv_z", "deriv_zbar", "float"],
     )
     def test_axis_out_of_range_rejected(self, build):
-        with pytest.raises(ValueError, match=r"axis .* is out of range for dim"):
+        with pytest.raises(ValueError, match=r"axis must be an integer in \[0, "):
             build()
 
     def test_numpy_integer_axis_accepted(self):
