@@ -110,33 +110,40 @@ def spectrum(spec: OscillatorSpec, grid: GridSpec, levels: int) -> np.ndarray:
 
 
 def _second_diff(psi: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(psi)
-    out[1:-1] = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / dx**2
-    out[0] = (psi[1] - 2.0 * psi[0]) / dx**2
-    out[-1] = (psi[-2] - 2.0 * psi[-1]) / dx**2
-    return out
+    padded = np.concatenate(([0.0], psi, [0.0]))  # zero Dirichlet ends (np.pad is several times slower here)
+    return (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / dx**2
 
 
 def _first_diff(psi: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(psi)
-    out[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * dx)
-    out[0] = psi[1] / (2.0 * dx)
-    out[-1] = -psi[-2] / (2.0 * dx)
-    return out
+    padded = np.concatenate(([0.0], psi, [0.0]))
+    return (padded[2:] - padded[:-2]) / (2.0 * dx)
 
 
-def _sample_state(state, x: np.ndarray) -> np.ndarray:
-    psi = np.asarray(state(x) if callable(state) else state, dtype=complex)
-    if psi.shape != x.shape:
-        raise ValueError(f"state samples have shape {psi.shape}, expected {x.shape}")
-    return psi
+def _worst_residual(grid: GridSpec, states: Sequence, residual: Callable) -> float:
+    """Max over the states (callables of x, or samples) of ||residual(x, psi, dx)|| / ||psi||.
 
-
-def _norm_guard(psi: np.ndarray, dx: float) -> float:
-    norm = float(np.linalg.norm(psi)) * math.sqrt(dx)
-    if norm < 1e-10:
-        raise ValueError("state has negligible norm on the grid")
-    return float(np.linalg.norm(psi))
+    Refuses, naming the state's index, a non-finite sample (and its first x),
+    a negligible norm, and a norm or residual that overflowed."""
+    if not states:
+        raise ValueError("need at least one test state")
+    x, dx = grid.coordinates()
+    worst = 0.0
+    for index, state in enumerate(states):
+        psi = np.asarray(state(x) if callable(state) else state, dtype=complex)
+        if psi.shape != x.shape:
+            raise ValueError(f"state samples have shape {psi.shape}, expected {x.shape}")
+        bad = ~np.isfinite(psi)
+        if np.any(bad):
+            raise ValueError(f"state {index} is non-finite at x = {float(x[np.argmax(bad)])!r}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below, by name
+            norm = float(np.linalg.norm(psi))
+            if norm * math.sqrt(dx) < 1e-10:
+                raise ValueError("state has negligible norm on the grid")
+            value = float(np.linalg.norm(residual(x, psi, dx))) / norm
+        if not (math.isfinite(norm) and math.isfinite(value)):
+            raise NumericContractError(f"state {index} overflows on the grid: ||psi|| = {norm!r}, residual = {value!r}")
+        worst = max(worst, value)
+    return worst
 
 
 def eigenstate_residual(
@@ -149,11 +156,9 @@ def eigenstate_residual(
     h = _real("h", h)
     if not np.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy!r}")
-    x, dx = grid.coordinates()
-    psi = _sample_state(state, x)
-    norm = _norm_guard(psi, dx)
-    h_psi = (x * x + (h - 1.0)) * psi - _second_diff(psi, dx)
-    return float(np.linalg.norm(h_psi - energy * psi)) / norm
+    return _worst_residual(
+        grid, [state], lambda x, psi, dx: (x * x + (h - 1.0)) * psi - _second_diff(psi, dx) - energy * psi
+    )
 
 
 def ground_state_residual(spec: OscillatorSpec, grid: GridSpec) -> float:
@@ -177,19 +182,14 @@ def ladder_identity_residual(
     p_hat = -i*h*d/dx, all applied by central differences; the identity is
     operator-level, so the residual is pure discretization error.
     """
-    if not test_states:
-        raise ValueError("need at least one test state")
     h = _real("h", h)
-    x, dx = grid.coordinates()
-    worst = 0.0
-    for state in test_states:
-        psi = _sample_state(state, x)
-        norm = _norm_guard(psi, dx)
+
+    def residual(x, psi, dx):
         h_psi = x * x * psi - h * h * _second_diff(psi, dx)
         z_psi = (x * psi + h * _first_diff(psi, dx)) / math.sqrt(2.0)
-        ladder = math.sqrt(2.0) * (x * z_psi - h * _first_diff(z_psi, dx)) + h * psi
-        worst = max(worst, float(np.linalg.norm(h_psi - ladder)) / norm)
-    return worst
+        return h_psi - (math.sqrt(2.0) * (x * z_psi - h * _first_diff(z_psi, dx)) + h * psi)
+
+    return _worst_residual(grid, test_states, residual)
 
 
 _COMMUTATOR_STATES = (
@@ -207,16 +207,13 @@ def commutator_residual(grid: GridSpec, h: float = 1.0) -> float:
     central differences.
     """
     h = _real("h", h)
-    x, dx = grid.coordinates()
-    worst = 0.0
-    for state in _COMMUTATOR_STATES:
-        psi = _sample_state(state, x)
-        norm = _norm_guard(psi, dx)
+
+    def residual(x, psi, dx):
         p_psi = -1j * h * _first_diff(psi, dx)
         p_x_psi = -1j * h * _first_diff(x * psi, dx)
-        residual = x * p_psi - p_x_psi - 1j * h * psi
-        worst = max(worst, float(np.linalg.norm(residual)) / norm)
-    return worst
+        return x * p_psi - p_x_psi - 1j * h * psi
+
+    return _worst_residual(grid, _COMMUTATOR_STATES, residual)
 
 
 @dataclass(frozen=True)
@@ -301,5 +298,5 @@ def uncertainty_quadrature(lam: float, amplitude: float = 1.0, order: int = 80) 
     second_moment = float(integrate(lambda u: u * u, rules, scale=a))
     mass = float(integrate(lambda u: np.ones_like(u), rules, scale=a))
     var_x = k2 * second_moment
-    var_p = k2 * a * a * second_moment
+    var_p = k2 * a * (a * second_moment)  # a * a is sub-normal below lambda ~ 1e-154
     return _report(lam, amplitude, var_x=var_x, var_p=var_p, rhs=0.25 * (k2 * mass) ** 2, norm_sq=k2 * mass)

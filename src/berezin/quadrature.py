@@ -24,9 +24,9 @@ a generic callable is summed on the centred tensor grid by `integrate`,
 which limits it to n <= 2.  At z = 0 the kernel is the weight rho itself,
 so the transform there is the trace Tr(f).  The oracle never consults the
 closed-form width map.  A seeded Monte-Carlo estimator samples the same
-centred Gaussian and provides a second, statistically independent route; it
-draws only the n real coordinates of w for a GaussianSymbol and all 2n for
-a callable.
+centred Gaussian and provides a second, statistically independent route on
+one stream, sigma * standard_normal((2, n, N)) with blocks Re(w - z) and
+Im(w - z): a GaussianSymbol reads and draws block 0, a callable both.
 
 All reductions use a fixed deterministic order (pairwise folding), so
 results are reproducible run-to-run.
@@ -194,11 +194,11 @@ def _normalize_scales(scale, d: int) -> np.ndarray:
     return scales
 
 
-def _check_finite(vals: np.ndarray, axes, prefix: tuple = ()) -> None:
+def _check_finite(vals: np.ndarray, axes, head: tuple = ()) -> None:
     bad = ~np.isfinite(vals)
     if np.any(bad):
         idx = np.unravel_index(int(np.flatnonzero(bad.ravel())[0]), vals.shape)
-        node = prefix + tuple(float(axis[i]) for axis, i in zip(axes, idx))
+        node = tuple(float(x) for x in head) + tuple(float(axis[i]) for axis, i in zip(axes, idx))
         raise NumericContractError(f"integrand is non-finite at node {node}")
 
 
@@ -208,6 +208,9 @@ def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale=1.0):
     `fn` must accept d broadcastable coordinate arrays and evaluate
     vectorized.  The Gaussian factor is handled analytically by node
     scaling; d <= 4.  Non-finite integrand values raise, naming the node.
+    One loop evaluates, checks and sums slabs: a d <= 2 grid is one slab of
+    weight 1, a d in {3, 4} grid one slab per node of its first axis (with
+    that node's weight), which bounds memory to m^(d-1) values.
     """
     rules = list(rules)
     d = len(rules)
@@ -215,32 +218,21 @@ def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale=1.0):
         raise ValueError(f"tensor integration supports 1 <= d <= {MAX_TENSOR_DIM}, got {d}")
     scales = _normalize_scales(scale, d)
     axes = [rule.nodes / math.sqrt(s) for rule, s in zip(rules, scales)]
-    weight_axes = [rule.weights for rule in rules]
-    norm = float(np.prod([1.0 / math.sqrt(s) for s in scales]))
-
+    norm = math.prod(1.0 / math.sqrt(s) for s in scales)
     if d <= 2:
-        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-        shape = tuple(axis.size for axis in axes)
-        vals = np.broadcast_to(np.asarray(fn(*grids)), shape)
-        _check_finite(vals, axes)
-        wprod = weight_axes[0]
-        if d == 2:
-            wprod = weight_axes[0][:, None] * weight_axes[1][None, :]
-        return tree_sum(vals * wprod) * norm
-
-    # d in {3, 4}: chunk over the first axis to bound memory
-    rest_axes = axes[1:]
-    rest_shape = tuple(axis.size for axis in rest_axes)
-    grids = np.meshgrid(*rest_axes, indexing="ij", sparse=True)
-    wrest = weight_axes[1]
-    for wa in weight_axes[2:]:
-        wrest = wrest[..., None] * wa
-    chunks = []
-    for i, x0 in enumerate(axes[0]):
-        vals = np.broadcast_to(np.asarray(fn(x0, *grids)), rest_shape)
-        _check_finite(vals, rest_axes, (float(x0),))
-        chunks.append(weight_axes[0][i] * tree_sum(vals * wrest))
-    return tree_sum(np.array(chunks)) * norm
+        heads, head_weights, first = [()], [1.0], 0
+    else:
+        heads, head_weights, first = [(x0,) for x0 in axes[0]], rules[0].weights, 1
+    slab_axes = axes[first:]
+    grids = np.meshgrid(*slab_axes, indexing="ij", sparse=True)
+    shape = tuple(axis.size for axis in slab_axes)
+    slab_weights = functools.reduce(np.multiply.outer, [rule.weights for rule in rules[first:]])
+    sums = []
+    for head, head_weight in zip(heads, head_weights):
+        vals = np.broadcast_to(np.asarray(fn(*head, *grids)), shape)
+        _check_finite(vals, slab_axes, head)
+        sums.append(head_weight * tree_sum(vals * slab_weights))
+    return tree_sum(np.array(sums)) * norm
 
 
 def berezin_transform_numeric(
@@ -302,22 +294,24 @@ def monte_carlo_transform(
     Returns (mean, standard error); a fixed seed reproduces the estimate
     bit-for-bit.
 
-    A GaussianSymbol depends only on Re w, so only the n real coordinates
-    are drawn: row j of sigma * default_rng(seed).standard_normal((n, N))
-    is Re(w_j - z_j) for the N samples, and A*exp(-lam * sum_j (Re w_j)^2)
-    is evaluated in place on those rows.  A callable receives n complex
-    coordinate arrays, w_j = z_j + X[:, 2j] + i*X[:, 2j+1] with
-    X = default_rng(seed).normal(0, sigma, (N, 2n)).  A non-finite value
-    raises, naming the sample (for a symbol, Re w drawn and Im w = Im z); so
+    The one sample stream is X = sigma * default_rng(seed).standard_normal((2, n, N)):
+    block 0 is Re(w - z), block 1 is Im(w - z), row j coordinate j.  A
+    callable receives n complex arrays w_j = z_j + X[0, j] + i*X[1, j].  A
+    GaussianSymbol reads only Re w, so it draws block 0 alone, (1, n, N),
+    the same numbers as the full stream's prefix, and is evaluated in place
+    on its rows; a callable of the same symbol gets the same estimate.
+    A non-finite value raises, naming the sample (for a symbol, Re w drawn and Im w = Im z); so
     does a mean or standard error that overflows, naming it (and a symbol's
     amplitude).
     """
     point = as_point(z, f.dim if isinstance(f, GaussianSymbol) else None)
     n = point.dim
     sigma = math.sqrt(1.0 / (2.0 * q.alpha))
+    blocks = 1 if isinstance(f, GaussianSymbol) else 2
+    offsets = np.random.default_rng(cfg.seed).standard_normal((blocks, n, cfg.samples))
+    offsets *= sigma
     if isinstance(f, GaussianSymbol):
-        rows = np.random.default_rng(cfg.seed).standard_normal((n, cfg.samples))
-        rows *= sigma
+        rows = offsets[0]
         rows += np.array([[c.real] for c in point.coords])
         np.square(rows, out=rows)
         values = rows[0]
@@ -327,11 +321,9 @@ def monte_carlo_transform(
         np.exp(values, out=values)
         values *= f.amplitude
     else:
-        offsets = np.random.default_rng(cfg.seed).normal(0.0, sigma, size=(cfg.samples, 2 * n))
-        coords = (c + offsets[:, 2 * j] + 1j * offsets[:, 2 * j + 1] for j, c in enumerate(point.coords))
-        values = np.asarray(f(*coords))
+        values = np.asarray(f(*(c + offsets[0, j] + 1j * offsets[1, j] for j, c in enumerate(point.coords))))
     if not np.all(np.isfinite(values)):
-        raise NumericContractError(f"integrand is non-finite at sample {_sample(f, point, sigma, cfg, values)}")
+        raise NumericContractError(f"integrand is non-finite at sample {_sample(point, sigma, cfg, blocks, values)}")
     with np.errstate(over="ignore"):  # an overflowing sum is refused below, by name
         mean = np.mean(values)
         stderr = math.sqrt(float(np.sum(np.abs(values - mean) ** 2)) / (cfg.samples * (cfg.samples - 1)))
@@ -342,13 +334,9 @@ def monte_carlo_transform(
     return complex(mean), stderr
 
 
-def _sample(f, point, sigma: float, cfg: MonteCarloConfig, values: np.ndarray) -> tuple:
+def _sample(point, sigma: float, cfg: MonteCarloConfig, blocks: int, values: np.ndarray) -> tuple:
     """The first sample w at which `values` is non-finite, drawn again from
-    the seed (a symbol's rows were overwritten by its evaluation)."""
+    the seed (a symbol's rows were overwritten; with one block, Im w = Im z)."""
     bad = int(np.flatnonzero(~np.isfinite(np.ravel(values)))[0])
-    rng = np.random.default_rng(cfg.seed)
-    if isinstance(f, GaussianSymbol):
-        shifts = sigma * rng.standard_normal((point.dim, cfg.samples))[:, bad]
-        return tuple(c + s for c, s in zip(point.coords, shifts))
-    offsets = rng.normal(0.0, sigma, size=(cfg.samples, 2 * point.dim))[bad]
-    return tuple(c + complex(offsets[2 * j], offsets[2 * j + 1]) for j, c in enumerate(point.coords))
+    shifts = sigma * np.random.default_rng(cfg.seed).standard_normal((blocks, point.dim, cfg.samples))[:, :, bad]
+    return tuple(c + complex(*shift) for c, shift in zip(point.coords, shifts.T))

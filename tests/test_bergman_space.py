@@ -1,6 +1,7 @@
 """Weight, kernel, reproducing property, trace, and purity index."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from berezin import (
     weight,
 )
 from berezin.bergman_space import purity_raw_numeric, weight_mass_numeric
+from berezin.gaussian_calculus import NumericContractError
 
 
 class TestKernel:
@@ -151,6 +153,20 @@ class TestPurity:
             purity_index(0.0, QuantParams(1.0), dim=1)
         with pytest.raises(ValueError, match="positive"):
             purity_index(-1.0, QuantParams(1.0), dim=1)
+
+    @pytest.mark.parametrize(
+        "lam,alpha,dim,name",
+        [
+            (1.5e303, 1e-20, 1, "normalized trace"),  # alpha/(alpha + 3*lam) underflows
+            (1e308, 1e-15, 1, "normalized trace"),
+            (3.180676881644171e-76, 6.310039627625464e-238, 2, "raw trace"),
+            (1.6618174485480565e28, 3.0305445838481446e-80, 3, "raw trace"),
+        ],
+    )
+    def test_underflowing_trace_is_contract_error(self, lam, alpha, dim, name):
+        refused = f"{name} underflows to 0 at lambda={lam!r}, alpha={alpha!r}, n={dim}"
+        with pytest.raises(NumericContractError, match="^" + re.escape(refused) + "$"):
+            purity_index(lam, QuantParams(alpha), dim=dim)
 
     def test_report_invariant(self):
         with pytest.raises(ValueError):

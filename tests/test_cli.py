@@ -276,6 +276,21 @@ class TestTraceCommand:
         assert out == ""
         assert "squared transformed amplitude underflows to 0" in err
 
+    @pytest.mark.parametrize(
+        "n,lam,alpha,name",
+        [
+            ("1", "1.5e303", "1e-20", "normalized trace"),
+            ("1", "1e308", "1e-15", "normalized trace"),
+            ("2", "3.180676881644171e-76", "6.310039627625464e-238", "raw trace"),
+            ("3", "1.6618174485480565e+28", "3.0305445838481446e-80", "raw trace"),
+        ],
+    )
+    def test_underflowing_trace_is_contract_error(self, capsys, n, lam, alpha, name):
+        code, out, err = run_cli(capsys, "trace", "--n", n, "--lambda", lam, "--alpha", alpha)
+        assert code == 3
+        assert out == ""
+        assert f"{name} underflows to 0 at lambda={float(lam)!r}, alpha={float(alpha)!r}, n={n}" in err
+
 
 class TestUncertaintyCommand:
     def test_unit_compression(self, capsys):
@@ -307,6 +322,12 @@ class TestUncertaintyCommand:
         assert code == 3
         assert out == ""
         assert "var_x = inf" in err and "lambda=1e-300" in err
+
+    @pytest.mark.parametrize("lam", ["1e-160", "1e-162", "5e-180", "1e-204"])
+    def test_tiny_compression_passes_the_quadrature_check(self, capsys, lam):
+        code, out, _ = run_cli(capsys, "uncertainty", "--lambda", lam)
+        assert code == 0
+        assert abs(record_of(out)["results"]["ratio_quadrature"] - 1.0) <= 1e-15
 
     def test_sub_normal_moment_is_contract_error(self, capsys):
         # K^4 = 1e-320 keeps a few significant bits, so rhs cannot divide the ratio
@@ -401,6 +422,17 @@ class TestSweepCommand:
         assert out == ""
         assert err.startswith("error: ")
         assert not out_path.exists()
+
+    def test_underflowing_trace_exits_three(self, capsys, tmp_path):
+        out_path = tmp_path / "trace.csv"
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--quantity", "normalized_trace",
+            "--lambda", "1e308", "--alphas", "1e-15", "--out", str(out_path),
+        )
+        assert code == 3
+        assert out == ""
+        assert "normalized trace underflows to 0 at lambda=1e+308, alpha=1e-15, n=1" in err
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

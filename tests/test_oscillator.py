@@ -89,6 +89,22 @@ class TestEigenResiduals:
         with pytest.raises(ValueError, match="^energy must be finite"):
             eigenstate_residual(GRID, lambda x: np.exp(-x * x / 2.0), energy)
 
+    def test_non_finite_state_refused(self):
+        # a NaN sample is refused, naming its x, where the residual read NaN
+        x, _ = GRID.coordinates()
+        first = float(x[x > 1.0][0])
+        with pytest.raises(ValueError, match=re.escape(f"state 0 is non-finite at x = {first!r}")):
+            eigenstate_residual(GRID, lambda x: np.where(x > 1.0, np.nan, gaussian(x)), 1.0)
+
+    def test_overflowing_residual_is_contract_error(self):
+        # a spike of 1e152 has a finite norm, but the norm of its second
+        # difference, 2e152/dx^2 with dx ~ 0.01, overflows
+        x, _ = GRID.coordinates()
+        spike = np.where(np.arange(x.size) == 1000, 1e152, 0.0)
+        refused = f"state 0 overflows on the grid: ||psi|| = {float(np.linalg.norm(spike))!r}, residual = inf"
+        with pytest.raises(NumericContractError, match="^" + re.escape(refused) + "$"):
+            eigenstate_residual(GRID, spike, 1.0)
+
     def test_requires_one_dim(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             ground_state_residual(OscillatorSpec(dim=2, h=1.0), GRID)
@@ -108,6 +124,19 @@ class TestLadderIdentity:
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError, match="negligible norm"):
             ladder_identity_residual([lambda x: np.zeros_like(x)], GRID)
+
+    def test_non_finite_state_is_not_a_perfect_residual(self):
+        # max(0.0, nan) is 0.0, so a NaN state once read as residual 0
+        grid = GridSpec(6.0, 600)
+        first = float(grid.coordinates()[0][0])
+        with pytest.raises(ValueError, match=re.escape(f"state 0 is non-finite at x = {first!r}")):
+            ladder_identity_residual([lambda x: np.full_like(x, np.nan)], grid)
+        with pytest.raises(ValueError, match=re.escape(f"state 1 is non-finite at x = {first!r}")):
+            ladder_identity_residual([gaussian, lambda x: np.full_like(x, np.inf)], grid)
+
+    def test_overflowing_norm_is_contract_error(self):
+        with pytest.raises(NumericContractError, match=r"^state 0 overflows on the grid: \|\|psi\|\| = inf"):
+            ladder_identity_residual([lambda x: np.full_like(x, 1e307)], GRID)
 
     def test_needs_states(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -188,6 +217,7 @@ class TestUncertainty:
         "compute,lam,amplitude,moment",
         [
             (uncertainty_report, 1e-300, 1.0, "var_x = inf"),  # r^(3/2) overflows
+            (uncertainty_report, 1e-206, 1.0, "var_x = inf"),
             (uncertainty_report, 1.0, 1e160, "var_x = inf"),
             (uncertainty_quadrature, 1.0, 1e-90, "rhs = 0.0"),  # K^4 underflows
             (uncertainty_report, 1.0, 1e-80, "rhs = 1.571e-320"),  # K^4 is sub-normal
@@ -206,6 +236,15 @@ class TestUncertainty:
             assert abs(numeric.ratio - 1.0) <= 1e-15
             assert closed.var_x == pytest.approx(numeric.var_x, rel=1e-14)
             assert closed.var_x == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("lam", [1e-160, 1e-162, 5e-180, 1e-204])
+    def test_tiny_lambda_quadrature_keeps_var_p(self, lam):
+        # a = lam/(1+lam) squared is sub-normal below lam ~ 1e-154 and 0 below
+        # ~ 1e-162, so var_p is formed as a * (a * second moment)
+        closed, numeric = uncertainty_report(lam), uncertainty_quadrature(lam)
+        assert abs(numeric.ratio - 1.0) <= 1e-15
+        assert numeric.var_p == pytest.approx(closed.var_p, rel=1e-15)
+        assert numeric.var_x == pytest.approx(closed.var_x, rel=1e-15)
 
     def test_one_node_rule_reports_failed_ratio(self):
         # the order-1 rule has its only node at 0, so both second moments vanish

@@ -330,16 +330,16 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "f,z,alpha,samples,seed,expected",
         [
-            # (estimate, stderr) reprs; symbols draw n real rows, a callable 2n columns
+            # (estimate, stderr) reprs; a symbol draws block 0 of the stream, a callable both blocks
             (GaussianSymbol(1, 1.0, 1.0), 0.4 - 0.3j, 2.0, 1000, 7,
              "((0.7602302661877455+0j), 0.007506696832493651)"),
             (GaussianSymbol(2, 1.5, 0.5), (0.3 + 0.2j, -0.6 + 0.1j), 1.0, 2000, 8,
              "((0.8607724060262995+0j), 0.008997053049438996)"),
             (GaussianSymbol(3, 0.5, 2.0), (0.1 + 0j, -0.2 + 0.5j, 0.7 - 0.4j), 3.0, 1500, 9,
              "((0.11916485359993972+0j), 0.00299802234647109)"),
-            # the callable case pins the 2n-column stream of normal(0, sigma, (N, 2n))
+            # the callable case pins the stream's Im block, sigma * standard_normal((2, n, N))[1]
             (lambda w: np.exp(-1.5 * np.real(w) ** 2 + 0.5j * np.imag(w)), 0.3 - 0.2j, 2.0, 1000, 10,
-             "((0.6859320909155904-0.07453457540619196j), 0.01045029371641611)"),
+             "((0.6878144821020382-0.07052585476393163j), 0.010188784411168874)"),
         ],
         ids=["symbol-n1", "symbol-n2", "symbol-n3", "callable"],
     )
@@ -348,8 +348,9 @@ class TestMonteCarlo:
         assert repr(result) == expected
 
     def test_symbol_stream_is_n_real_rows(self):
-        # the documented stream, rebuilt from its definition: row j of
-        # sigma * standard_normal((n, N)) is Re(w_j - z_j)
+        # the documented stream, rebuilt from its definition: a symbol draws
+        # block 0 of sigma * standard_normal((2, n, N)) as (1, n, N), the
+        # same numbers as (n, N), and row j is Re(w_j - z_j)
         f, z, q, samples, seed = GaussianSymbol(2, 1.5, 0.5), (0.3 + 0.2j, -0.6 + 0.1j), QuantParams(1.0), 2000, 8
         rows = math.sqrt(1.0 / (2.0 * q.alpha)) * np.random.default_rng(seed).standard_normal((2, samples))
         values = f.amplitude * np.exp(-f.compression * ((z[0].real + rows[0]) ** 2 + (z[1].real + rows[1]) ** 2))
@@ -357,6 +358,23 @@ class TestMonteCarlo:
         stderr = math.sqrt(float(np.sum((values - mean) ** 2)) / (samples * (samples - 1)))
         result = monte_carlo_transform(f, z, q, MonteCarloConfig(samples=samples, seed=seed))
         assert repr(result) == repr((complex(mean), stderr))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_callable_symbol_reads_the_symbol_stream(self, n):
+        # one stream: the callable's Re w block is the symbol's rows, so the
+        # two estimates differ only by round-off in the complex mean
+        f = GaussianSymbol(n, 1.7, 0.8)
+        z = tuple(complex(0.3 * j - 0.2, 0.1 * j + 0.4) for j in range(n))
+        q, cfg = QuantParams(1.5), MonteCarloConfig(samples=3000, seed=11 + n)
+
+        def callable_symbol(*w):
+            return f.amplitude * np.exp(-f.compression * sum(np.real(c) ** 2 for c in w))
+
+        symbol_mean, symbol_stderr = monte_carlo_transform(f, z, q, cfg)
+        callable_mean, callable_stderr = monte_carlo_transform(callable_symbol, z, q, cfg)
+        assert callable_mean.imag == 0.0
+        assert callable_mean.real == pytest.approx(symbol_mean.real, rel=1e-15)
+        assert callable_stderr == pytest.approx(symbol_stderr, rel=1e-15)
 
     def test_non_finite_sample_names_the_sample(self):
         # at alpha=1e-310 a sample's square overflows, and 0 * inf is NaN
@@ -374,8 +392,9 @@ class TestMonteCarlo:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericContractError, match=re.escape(f"non-finite at sample {sample}")):
                 monte_carlo_transform(GaussianSymbol(2, 1.0, 0.0), (0.5 + 0.2j, -0.3j), QuantParams(1e-308), cfg)
-        # a callable that is non-finite everywhere fails at the first sample drawn
-        first = np.random.default_rng(1).normal(0.0, math.sqrt(0.5), size=(1, 2))[0]
+        # a callable that is non-finite everywhere fails at the first sample,
+        # column 0 of both blocks
+        first = math.sqrt(0.5) * np.random.default_rng(1).standard_normal((2, 1, 1000))[:, 0, 0]
         sample = 0.5 + complex(first[0], first[1])
         with np.errstate(divide="ignore"):
             with pytest.raises(NumericContractError, match=re.escape(f"non-finite at sample {(sample,)}")):
