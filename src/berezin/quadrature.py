@@ -42,7 +42,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .gaussian_calculus import GaussianSymbol, NumericContractError, PointLike, QuantParams, _integer, as_point
+from .gaussian_calculus import GaussianSymbol, NumericContractError, PointLike, QuantParams, _integer, _real, as_point
 
 __all__ = [
     "MonteCarloConfig",
@@ -187,11 +187,15 @@ def _build_rule(order: int) -> QuadratureRule1D:
     return QuadratureRule1D(nodes, weights, order)
 
 
-def _normalize_scales(scale, d: int) -> np.ndarray:
-    scales = np.broadcast_to(np.asarray(scale, dtype=np.float64), (d,)).copy()
-    if not np.all(np.isfinite(scales)) or np.any(scales <= 0.0):
-        raise ValueError(f"scales must be positive and finite, got {scale!r}")
-    return scales
+def _normalize_scales(scale, d: int) -> tuple:
+    """One positive finite float per axis, from one number or d numbers."""
+    try:
+        scales = tuple(scale)
+    except TypeError:
+        scales = (scale,) * d
+    if len(scales) != d:
+        raise ValueError(f"scale must be one number or a sequence of {d}, got {scale!r}")
+    return tuple(_real("scale", s) for s in scales)
 
 
 def _check_finite(vals: np.ndarray, axes, head: tuple = ()) -> None:
@@ -207,7 +211,8 @@ def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale=1.0):
 
     `fn` must accept d broadcastable coordinate arrays and evaluate
     vectorized.  The Gaussian factor is handled analytically by node
-    scaling; d <= 4.  Non-finite integrand values raise, naming the node.
+    scaling; d <= 4.  Non-finite integrand values raise, naming the node, and
+    a weighted sum beyond the double range raises, naming it and the scales.
     One loop evaluates, checks and sums slabs: a d <= 2 grid is one slab of
     weight 1, a d in {3, 4} grid one slab per node of its first axis (with
     that node's weight), which bounds memory to m^(d-1) values.
@@ -231,8 +236,13 @@ def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale=1.0):
     for head, head_weight in zip(heads, head_weights):
         vals = np.broadcast_to(np.asarray(fn(*head, *grids)), shape)
         _check_finite(vals, slab_axes, head)
-        sums.append(head_weight * tree_sum(vals * slab_weights))
-    return tree_sum(np.array(sums)) * norm
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused below, by name
+            sums.append(head_weight * tree_sum(vals * slab_weights))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = tree_sum(np.array(sums)) * norm
+    if not np.isfinite(total):
+        raise NumericContractError(f"weighted sum {total} is not finite at scales {scales}")
+    return total
 
 
 def berezin_transform_numeric(

@@ -19,7 +19,9 @@ needs: when b1 and g2 share no non-zero axis, beta = 0 is the only term (and
 C_j with j >= 1 skips the pair); otherwise only the beta with |beta| = j are
 enumerated.  Inside the sum each (beta, gamma) is one integer, so a product's
 key is an integer sum.  Each key still receives its addends in the order of
-the pairs, so the result is bit-for-bit that of adding beta by beta.
+the pairs, so the result is bit-for-bit that of adding beta by beta.  A
+term's factor c * perm(exps, beta) is computed when a pair first needs it, so
+a small product pays only for the factors its pairs use.
 
 The antisymmetrized first-order term satisfies
 
@@ -27,7 +29,11 @@ The antisymmetrized first-order term satisfies
 
 where the bracket is normalized as {f, g} = kappa * sum_j (d_z f d_zbar g
 - d_zbar f d_z g) with kappa = 2*pi/i (BRACKET_NORMALIZATION); pass
-scale=1j for the conventional complex-coordinates bracket.
+scale=1j for the conventional complex-coordinates bracket.  The bracket runs
+on the same packed keys but is its own sum, axis by axis over derivative
+products, not the pair sum, so the residual of this identity compares two
+routes.  The residual itself is one pass on packed keys that builds no
+intermediate symbol.
 
 Derivatives and products act on integer exponents exactly; round-off enters
 only through the complex coefficients.  Public constructors validate exponents
@@ -39,8 +45,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import product
-from operator import add, index, mul, sub
+from itertools import product, repeat
+from operator import add, floordiv, index, mod, mul, sub
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -106,14 +112,15 @@ class PolynomialSymbol:
     @classmethod
     def _canonical(cls, dim: int, acc: dict) -> "PolynomialSymbol":
         """Unvalidated but for finiteness: acc maps library-built (beta, gamma) int tuples to complex."""
+        # keys are unique, so sorting never compares coefficients
+        return cls._ordered(dim, sorted((b, g, c) for (b, g), c in _finite(acc, lambda key: key).items() if c))
+
+    @classmethod
+    def _ordered(cls, dim: int, terms) -> "PolynomialSymbol":
+        """Unvalidated: terms are finite, non-zero and in (beta, gamma) order."""
         self = object.__new__(cls)
         object.__setattr__(self, "dim", dim)
-        # keys are unique, so sorting never compares coefficients
-        terms = tuple(sorted((b, g, c) for (b, g), c in acc.items() if c))
-        for b, g, c in terms:
-            if not cmath.isfinite(c):
-                raise NumericContractError(f"coefficient of the term beta={b}, gamma={g} is not finite: {c}")
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", tuple(terms))
         return self
 
     # -- construction -----------------------------------------------------
@@ -272,76 +279,119 @@ def _fold(acc: dict, pairs, op) -> dict:
     return {key: coeff for key, coeff in acc.items() if coeff}
 
 
+def _finite(acc: dict, name) -> dict:
+    """acc, whose coefficients must be finite: the error names the term
+    (beta, gamma) = name(key) of the least key with a non-finite one."""
+    if not all(map(cmath.isfinite, acc.values())):
+        key = min(key for key, coeff in acc.items() if not cmath.isfinite(coeff))
+        beta, gamma = name(key)
+        raise NumericContractError(f"coefficient of the term beta={beta}, gamma={gamma} is not finite: {acc[key]}")
+    return acc
+
+
 def _check_dims(f: PolynomialSymbol, g: PolynomialSymbol) -> int:
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     return f.dim
 
 
-def _bidifferential(
-    f: PolynomialSymbol, g: PolynomialSymbol, inv_alpha: float, j: int | None = None
-) -> PolynomialSymbol:
-    """The monomial-pair sum with 1/alpha = inv_alpha, only |beta| = j when j is given.
+class _Keys:
+    """Packed keys for f, g and every term of their products and brackets.
+
+    (beta, gamma) is one integer: the digits of beta above those of gamma,
+    big-endian in base deg f + deg g + 1, which holds every exponent of f, g
+    and their results.  Integer order is (beta, gamma) order, a product's key
+    is k1 + k2 minus what it differentiates, and a key is unpacked only to
+    build a result or to name a term.  `f` and `g` hold the (key, beta,
+    gamma, coeff) rows of the two operands.
+    """
+
+    def __init__(self, f: PolynomialSymbol, g: PolynomialSymbol):
+        self.dim = _check_dims(f, g)
+        self.base = f.degree + g.degree + 1
+        self.places = [self.base**axis for axis in reversed(range(self.dim))]
+        self.lift = self.base**self.dim
+        self.f, self.g = self.rows(f), self.rows(g)
+
+    def pack(self, exps) -> int:
+        return sum(map(mul, exps, self.places))
+
+    def rows(self, p: PolynomialSymbol) -> list:
+        places, lifted = self.places, [place * self.lift for place in self.places]
+        return [(sum(map(mul, beta, lifted)) + sum(map(mul, gamma, places)), beta, gamma, c)
+                for beta, gamma, c in p.terms]
+
+    def digits(self, half: int) -> tuple:
+        """The exponents packed in one half of a key."""
+        base = self.base
+        return tuple([half // p % base for p in self.places])  # a list comprehension is the faster build
+
+    def unpack(self, key: int) -> tuple:
+        return tuple(map(self.digits, divmod(key, self.lift)))
+
+    def symbol(self, acc: dict) -> PolynomialSymbol:
+        """The canonical symbol of a packed sum: its integer order is the term order."""
+        keys = sorted(filter(acc.__getitem__, _finite(acc, self.unpack)))  # the non-zero terms
+        his = list(map(floordiv, keys, repeat(self.lift)))
+        los = list(map(mod, keys, repeat(self.lift)))
+        digits = {h: self.digits(h) for h in {*his, *los}}
+        terms = zip(map(digits.__getitem__, his), map(digits.__getitem__, los), map(acc.__getitem__, keys))
+        return PolynomialSymbol._ordered(self.dim, terms)
+
+
+def _pair_sum(keys: _Keys, left: list, right: list, inv_alpha: float, j: int | None = None) -> dict:
+    """The monomial-pair sum of the rows left, right with 1/alpha = inv_alpha,
+    only |beta| = j when j is given.
 
     The coefficient is rounded as (c1 * perm(b1, beta)) * (c2 * perm(g2, beta)) *
     (inv_alpha^|beta| / beta!), like a chain of derivatives.  A pair whose b1 and
     g2 share no non-zero axis has beta = 0 only, so it adds that one addend
     (nothing when j >= 1); otherwise only the beta of order j are enumerated.
-    The two coefficient factors are tabulated per term and the weight per
-    min(b1, g2), from the same operands in the same order.  Inside the sum
-    (beta, gamma) is one integer in base deg f + deg g + 1, so a product's key
-    is k1 + k2 minus beta packed into both halves.  Distinct beta give distinct
-    keys, so every key receives its addends in (f-term, g-term) order, starting
-    from 0j: the result is bit-for-bit that of summing beta by beta.
+    A term's factor c * perm(exps, beta) is computed the first time a pair
+    needs it, the weight once per min(b1, g2), from the same operands in the
+    same order.  Distinct beta give distinct keys, so every key receives its
+    addends in (left, right) row order, starting from 0j: the result is
+    bit-for-bit that of summing beta by beta.
     """
-    dim = _check_dims(f, g)
-    base = f.degree + g.degree + 1  # every exponent of f, g and the result is one digit
-    places = [base**axis for axis in reversed(range(dim))]  # big-endian: keys sort like (beta, gamma)
-    lift = base**dim  # beta digits sit above the gamma digits
     limit = math.inf if j is None else j
+    both = keys.lift + 1  # a shift packs beta into both halves
+    bits = [1 << axis for axis in range(keys.dim)]
+    weights: dict = {}  # min(b1, g2) -> [(shift, beta, inv_alpha^|beta| / beta!)]
 
-    def pack(exps) -> int:
-        return sum(map(mul, exps, places))
-
-    orders: dict = {}  # cap -> [(shift, beta)]
-
-    def betas(cap) -> list:
-        """(shift, beta) for each beta <= cap of order j; shift packs beta into both halves."""
-        if cap not in orders:
-            candidates = product(*(range(min(k, limit) + 1) for k in cap))
-            orders[cap] = [(pack(beta) * (lift + 1), beta) for beta in candidates if j is None or sum(beta) == j]
-        return orders[cap]
-
-    def tabulate(terms, conj: bool):
-        """(key, support mask, differentiated exponents, shift -> coeff * perm) per term."""
-        rows = []
-        for beta, gamma, c in terms:
-            exps = gamma if conj else beta
-            support = sum(1 << axis for axis, k in enumerate(exps) if k)
-            factors = {shift: c * math.prod(map(math.perm, exps, b)) for shift, b in betas(exps)}
-            rows.append((pack(beta) * lift + pack(gamma), support, exps, factors))
-        return rows
-
-    weights: dict = {}  # min(b1, g2) -> [(shift, inv_alpha^|beta| / beta!)]
-    right = tabulate(g.terms, True)
+    # per row (key, support mask, differentiated exponents, coeff, shift -> coeff * perm);
+    # perm(exps, 0) is the integer 1, so the beta = 0 factor is c * 1
+    firsts = [(key, sum(map(mul, map(bool, beta), bits)), beta, c, {0: c * 1}) for key, beta, _, c in left]
+    seconds = [(key, sum(map(mul, map(bool, gamma), bits)), gamma, c, {0: c * 1}) for key, _, gamma, c in right]
     acc: dict = {}
-    for k1, s1, b1, p1 in tabulate(f.terms, False):
-        for k2, s2, g2, p2 in right:
+    for k1, s1, b1, c1, p1 in firsts:
+        for k2, s2, g2, c2, p2 in seconds:
             if not s1 & s2:  # no shared axis: beta = 0 alone, whose weight is 1.0
                 if not j:
                     acc[k1 + k2] = acc.get(k1 + k2, 0j) + p1[0] * p2[0] * 1.0
                 continue
             cap = tuple(map(min, b1, g2))
-            if cap not in weights:
-                weights[cap] = [(shift, inv_alpha ** sum(beta) / math.prod(map(math.factorial, beta)))
-                                for shift, beta in betas(cap)]
-            for shift, weight in weights[cap]:
+            table = weights.get(cap)
+            if table is None:
+                betas = product(*(range(min(k, limit) + 1) for k in cap))
+                table = weights[cap] = [
+                    (keys.pack(beta) * both, beta, inv_alpha ** sum(beta) / math.prod(map(math.factorial, beta)))
+                    for beta in betas if j is None or sum(beta) == j
+                ]
+            for shift, beta, weight in table:
+                if shift not in p1:
+                    p1[shift] = c1 * math.prod(map(math.perm, b1, beta))
+                if shift not in p2:
+                    p2[shift] = c2 * math.prod(map(math.perm, g2, beta))
                 key = k1 + k2 - shift
                 acc[key] = acc.get(key, 0j) + p1[shift] * p2[shift] * weight
-    # integer order is (beta, gamma) order, so _canonical sorts terms already in order
-    split = [(*divmod(key, lift), c) for key, c in sorted(acc.items())]
-    digits = {h: tuple(h // p % base for p in places) for h in {h for hi, lo, _ in split for h in (hi, lo)}}
-    return PolynomialSymbol._canonical(dim, {(digits[hi], digits[lo]): c for hi, lo, c in split})
+    return acc
+
+
+def _bidifferential(
+    f: PolynomialSymbol, g: PolynomialSymbol, inv_alpha: float, j: int | None = None
+) -> PolynomialSymbol:
+    keys = _Keys(f, g)
+    return keys.symbol(_pair_sum(keys, keys.f, keys.g, inv_alpha, j))
 
 
 def c_term(f: PolynomialSymbol, g: PolynomialSymbol, j: int) -> PolynomialSymbol:
@@ -355,6 +405,26 @@ def wick_star(f: PolynomialSymbol, g: PolynomialSymbol, q: QuantParams) -> Polyn
     return _bidifferential(f, g, 1.0 / q.alpha)
 
 
+def _bracket_sum(keys: _Keys) -> dict:
+    """sum_axis (d_z f d_zbar g - d_zbar f d_z g) on packed keys, unscaled.
+
+    Per axis, each derivative product is summed on its own, from 0j in
+    (f-term, g-term) order, and folded into the total without its zeros,
+    as derivatives multiplied term by term would be.  It shares no code with
+    the pair sum, so the first-order residual compares two routes.
+    """
+    acc: dict = {}
+    for axis, place in enumerate(keys.places):
+        lowered = place * keys.lift  # d_z lowers beta's digit, d_zbar gamma's (by place)
+        dz_f, dz_g = ([(k - lowered, c * b[axis]) for k, b, _, c in rows if b[axis]] for rows in (keys.f, keys.g))
+        dzbar_f, dzbar_g = ([(k - place, c * gm[axis]) for k, _, gm, c in rows if gm[axis]]
+                            for rows in (keys.f, keys.g))
+        for op, df, dg in ((add, dz_f, dzbar_g), (sub, dzbar_f, dz_g)):
+            step = _fold({}, ((k1 + k2, c1 * c2) for k1, c1 in df for k2, c2 in dg), add)
+            acc = _fold(acc, step.items(), op)
+    return acc
+
+
 def poisson_bracket(
     f: PolynomialSymbol,
     g: PolynomialSymbol,
@@ -365,26 +435,31 @@ def poisson_bracket(
     The default scale kappa = 2*pi/i pairs with the first-order condition;
     scale=1j recovers the conventional complex-coordinates bracket.
     """
-    dim = _check_dims(f, g)
-    acc: dict = {}
-    for axis in range(dim):
-        for op, df, dg in ((add, f._derivative(axis, False), g._derivative(axis, True)),
-                           (sub, f._derivative(axis, True), g._derivative(axis, False))):
-            pairs = (((tuple(map(add, b1, b2)), tuple(map(add, g1, g2))), c1 * c2)
-                     for (b1, g1), c1 in df.items() for (b2, g2), c2 in dg.items())
-            acc = _fold(acc, _fold({}, pairs, add).items(), op)
-    return PolynomialSymbol._canonical(dim, acc).scaled(scale)
+    keys = _Keys(f, g)
+    return keys.symbol(_bracket_sum(keys)).scaled(scale)
 
 
 def quantization_condition_residual(f: PolynomialSymbol, g: PolynomialSymbol) -> float:
     """Max coefficient magnitude of C_1(f,g) - C_1(g,f) - (i/(2*pi)) {f,g}.
 
     Zero (to round-off) certifies the first-order compatibility of the star
-    product with the bracket.
+    product with the bracket.  One pass on packed keys: each stage (C_1(f, g),
+    C_1(g, f), their difference, the bracket, the bracket times kappa and
+    then times i/(2*pi), the final difference) drops its zeros and refuses a
+    non-finite coefficient, as the same stages on symbols would.
     """
-    lhs = c_term(f, g, 1) - c_term(g, f, 1)
-    rhs = poisson_bracket(f, g).scaled(1j / (2.0 * math.pi))
-    return (lhs - rhs).max_coeff()
+    keys = _Keys(f, g)
+
+    def stage(acc: dict) -> dict:
+        return {key: c for key, c in _finite(acc, keys.unpack).items() if c}
+
+    c1_fg = stage(_pair_sum(keys, keys.f, keys.g, 1.0, 1))
+    c1_gf = stage(_pair_sum(keys, keys.g, keys.f, 1.0, 1))
+    lhs = stage(_fold(c1_fg, c1_gf.items(), sub))
+    rhs = stage(_bracket_sum(keys))
+    for factor in (BRACKET_NORMALIZATION, 1j / (2.0 * math.pi)):
+        rhs = stage({key: factor * c for key, c in rhs.items()})
+    return max(map(abs, stage(_fold(lhs, rhs.items(), sub)).values()), default=0.0)
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,37 @@ class TestIntegrate:
         expected = gaussian_moment(2, 2.0) * gaussian_moment(0, 0.5)
         assert value == pytest.approx(expected, rel=1e-13)
 
+    def test_numpy_scales_accepted(self):
+        rules = [gauss_hermite(20)] * 2
+        expected = integrate(lambda x, y: x * x + y, rules, scale=(2.0, 0.5))
+        for scale in ((np.float64(2.0), np.float32(0.5)), np.array([2.0, 0.5]), [2, 0.5]):
+            assert integrate(lambda x, y: x * x + y, rules, scale=scale).hex() == expected.hex()
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, True, "2", None], ids=str)
+    def test_scales_validated(self, scale):
+        with pytest.raises(ValueError, match=re.escape(f"scale must be positive and finite, got {scale!r}")):
+            integrate(lambda x: x, [gauss_hermite(4)], scale=scale)
+        with pytest.raises(ValueError, match=re.escape(f"scale must be positive and finite, got {scale!r}")):
+            integrate(lambda x, y: x * y, [gauss_hermite(4)] * 2, scale=(1.0, scale))
+
+    def test_scale_count_checked(self):
+        message = "scale must be one number or a sequence of 2, got (1.0, 2.0, 3.0)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            integrate(lambda x, y: x * y, [gauss_hermite(4)] * 2, scale=(1.0, 2.0, 3.0))
+
+    def test_overflowing_weighted_sum_refused(self):
+        # every value is finite, the sum times 1/sqrt(scale) is not; no warning
+        with pytest.raises(NumericContractError, match=re.escape("weighted sum inf is not finite at scales (0.0001,)")):
+            integrate(lambda x: np.full_like(x, 1e308), [gauss_hermite(20)], scale=1e-4)
+
+    def test_overflowing_slab_sums_refused(self):
+        # d = 3 sums one slab per node of the first axis; their total overflows
+        def huge(x, y, z):
+            return np.full(np.broadcast_shapes(x.shape, y.shape, z.shape), 1e308)
+
+        with pytest.raises(NumericContractError, match=re.escape("is not finite at scales (1.0, 1.0, 1.0)")):
+            integrate(huge, [gauss_hermite(6)] * 3)
+
     def test_separable_equals_product(self):
         rules = [gauss_hermite(16)] * 2
         tensor = integrate(lambda x, y: x**2 * y**4, rules)

@@ -70,6 +70,11 @@ def star_by_pairs(f, g, inv_alpha, j=None):
     return PolynomialSymbol._canonical(dim, acc)
 
 
+def residual_by_parts(f, g):
+    """Reference: the first-order residual composed of symbol operations."""
+    return (c_term(f, g, 1) - c_term(g, f, 1) - poisson_bracket(f, g).scaled(1j / (2.0 * math.pi))).max_coeff()
+
+
 def assert_pair_sum_bits(f, g, alpha):
     """f * g, wick_star and c_term at j = 0..3 equal star_by_pairs bit for bit."""
     assert coefficient_bits(f * g) == coefficient_bits(star_by_pairs(f, g, 1.0, 0))
@@ -376,13 +381,26 @@ class TestPoissonBracket:
         assert bracket == (-4j * math.pi) * Z
 
     def test_matches_derivative_reference_bit_for_bit(self):
+        # thirty degree-4 pairs at dims 1-3, then six (3, 6, 30) pairs
         rng = np.random.default_rng(13)
-        for dim in (1, 2, 3) * 10:
-            f = _random_polynomial(rng, dim, degree=4, terms=8)
-            g = _random_polynomial(rng, dim, degree=4, terms=8)
+        shapes = [(dim, 4, 8) for dim in (1, 2, 3) * 10] + [(3, 6, 30)] * 6
+        for dim, degree, terms in shapes:
+            f = _random_polynomial(rng, dim, degree=degree, terms=terms)
+            g = _random_polynomial(rng, dim, degree=degree, terms=terms)
             for scale in (BRACKET_NORMALIZATION, 1j):
                 reference = bracket_by_derivatives(f, g, scale)
                 assert coefficient_bits(poisson_bracket(f, g, scale=scale)) == coefficient_bits(reference)
+
+    def test_is_not_the_pair_sum(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        f, g = (_random_polynomial(rng, 3, degree=4, terms=10) for _ in range(2))
+        expected = coefficient_bits(poisson_bracket(f, g))
+
+        def refuse(*args):
+            raise AssertionError("the bracket went through the pair sum")
+
+        monkeypatch.setattr(semiclassics, "_pair_sum", refuse)
+        assert coefficient_bits(poisson_bracket(f, g)) == expected
 
     def test_conventional_scale(self):
         bracket = poisson_bracket(Z, ZBAR, scale=1j)
@@ -397,6 +415,66 @@ class TestQuantizationCondition:
     def test_self_pair(self):
         p = Z * Z * ZBAR + 2.0 * Z
         assert quantization_condition_residual(p, p) <= 1e-15
+
+    def test_matches_composition_bit_for_bit(self):
+        # 600 seeded pairs: dims 1-3, degrees 0-6, 1-30 terms each
+        rng = np.random.default_rng(17)
+        for _ in range(600):
+            dim = int(rng.integers(1, 4))
+            f, g = (_random_polynomial(rng, dim, int(rng.integers(0, 7)), int(rng.integers(1, 31))) for _ in range(2))
+            assert quantization_condition_residual(f, g).hex() == residual_by_parts(f, g).hex()
+
+    def test_verify_pairs_match_composition_bit_for_bit(self):
+        rng = np.random.default_rng(7)  # the pairs `verify --seed 7` draws
+        for _ in range(100):
+            dim = int(rng.integers(1, 3))
+            f, g = _random_polynomial(rng, dim), _random_polynomial(rng, dim)
+            assert quantization_condition_residual(f, g).hex() == residual_by_parts(f, g).hex()
+
+    @staticmethod
+    def assert_outcome_of_composition(f, g):
+        try:
+            expected = residual_by_parts(f, g).hex()
+        except NumericContractError as error:
+            with pytest.raises(NumericContractError, match=re.escape(str(error))):
+                quantization_condition_residual(f, g)
+        else:
+            assert quantization_condition_residual(f, g).hex() == expected
+
+    @pytest.mark.parametrize("size", [1e305, 3e306, 3e307, 1e308, 1.5e308])
+    def test_refusals_match_composition(self, size):
+        # large coefficients overflow at different stages: C_1, the difference,
+        # the bracket, its two scalings or the final difference
+        rng = np.random.default_rng(int(size / 1e300))
+        for dim in (1, 2, 3):
+            f = _random_polynomial(rng, dim, 3, 6).scaled(size)
+            g = _random_polynomial(rng, dim, 3, 6)
+            self.assert_outcome_of_composition(f, g)
+            self.assert_outcome_of_composition(g, f)
+
+    def test_bracket_overflow_refused_where_c1_is_finite(self):
+        # C_1(f, g) adds the constant's addends axis 2, 1, 0: -x + x + x = x; the
+        # bracket adds them axis by axis, and x + x overflows; C_1(g, f) = 0
+        x = 1.5e308
+        axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        f = PolynomialSymbol(3, tuple((beta, (0, 0, 0), sign * x) for beta, sign in zip(axes, (1, 1, -1))))
+        g = PolynomialSymbol(3, tuple(((0, 0, 0), gamma, 1.0) for gamma in axes))
+        assert c_term(f, g, 1).terms == (((0, 0, 0), (0, 0, 0), complex(x)),)
+        message = "beta=(0, 0, 0), gamma=(0, 0, 0) is not finite: (inf+0j)"
+        with pytest.raises(NumericContractError, match=re.escape(message)):
+            quantization_condition_residual(f, g)
+        self.assert_outcome_of_composition(f, g)
+
+    def test_builds_no_symbol(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        f, g = (_random_polynomial(rng, 2, degree=4, terms=10) for _ in range(2))
+        expected = quantization_condition_residual(f, g)
+
+        def refuse(*args):
+            raise AssertionError("the residual built a PolynomialSymbol")
+
+        monkeypatch.setattr(PolynomialSymbol, "_ordered", refuse)
+        assert quantization_condition_residual(f, g) == expected
 
     def test_hundred_seeded_pairs(self):
         rng = np.random.default_rng(7)
