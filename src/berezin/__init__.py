@@ -3,108 +3,87 @@
 Closed-form transforms, trace/purity functionals, star-product algebra,
 oscillator checks, and an independent Gauss-Hermite / Monte-Carlo oracle
 for every closed form.
+
+The namespace is lazy: `import berezin` loads no layer (and so neither
+numpy nor scipy).  The first access to an exported name, or to one of the
+layer modules below, imports its home module and caches the name here.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .gaussian_calculus import (
-    ComplexPoint,
-    GaussianSymbol,
-    QuantParams,
-    as_point,
-    berezin_transform_closed,
-    evaluate,
-    gaussian_moment,
-    heat_evolve,
-    odd_moment_vanishes,
-    scaled,
-    taylor_remainder,
-    transform_compose,
-)
-from .semiclassics import (
-    BRACKET_NORMALIZATION,
-    ExpansionReport,
-    PolynomialSymbol,
-    c_term,
-    expansion_check,
-    poisson_bracket,
-    quantization_condition_residual,
-    wick_star,
-)
-from .bergman_space import (
-    TraceReport,
-    WeightSpec,
-    kernel,
-    purity_index,
-    reproducing_residual,
-    trace,
-    trace_numeric,
-    weight,
-)
-from .quadrature import (
-    MonteCarloConfig,
-    QuadratureRule1D,
-    berezin_transform_numeric,
-    gauss_hermite,
-    integrate,
-    monte_carlo_transform,
-)
-from .oscillator import (
-    GridSpec,
-    OscillatorSpec,
-    UncertaintyReport,
-    commutator_residual,
-    eigenstate_residual,
-    ground_state_residual,
-    ladder_identity_residual,
-    spectrum,
-    uncertainty_quadrature,
-    uncertainty_report,
-)
+# home module -> the names it exports through the package
+_EXPORTS = {
+    "gaussian_calculus": (
+        "ComplexPoint",
+        "GaussianSymbol",
+        "QuantParams",
+        "as_point",
+        "berezin_transform_closed",
+        "evaluate",
+        "gaussian_moment",
+        "heat_evolve",
+        "odd_moment_vanishes",
+        "scaled",
+        "taylor_remainder",
+        "transform_compose",
+    ),
+    "semiclassics": (
+        "BRACKET_NORMALIZATION",
+        "ExpansionReport",
+        "PolynomialSymbol",
+        "c_term",
+        "expansion_check",
+        "poisson_bracket",
+        "quantization_condition_residual",
+        "wick_star",
+    ),
+    "bergman_space": (
+        "TraceReport",
+        "WeightSpec",
+        "kernel",
+        "purity_index",
+        "reproducing_residual",
+        "trace",
+        "trace_numeric",
+        "weight",
+    ),
+    "quadrature": (
+        "MonteCarloConfig",
+        "QuadratureRule1D",
+        "berezin_transform_numeric",
+        "gauss_hermite",
+        "integrate",
+        "monte_carlo_transform",
+    ),
+    "oscillator": (
+        "GridSpec",
+        "OscillatorSpec",
+        "UncertaintyReport",
+        "commutator_residual",
+        "eigenstate_residual",
+        "ground_state_residual",
+        "ladder_identity_residual",
+        "spectrum",
+        "uncertainty_quadrature",
+        "uncertainty_report",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BRACKET_NORMALIZATION",
-    "ComplexPoint",
-    "ExpansionReport",
-    "GaussianSymbol",
-    "GridSpec",
-    "MonteCarloConfig",
-    "OscillatorSpec",
-    "PolynomialSymbol",
-    "QuadratureRule1D",
-    "QuantParams",
-    "TraceReport",
-    "UncertaintyReport",
-    "WeightSpec",
-    "as_point",
-    "berezin_transform_closed",
-    "berezin_transform_numeric",
-    "c_term",
-    "commutator_residual",
-    "eigenstate_residual",
-    "evaluate",
-    "expansion_check",
-    "gauss_hermite",
-    "gaussian_moment",
-    "ground_state_residual",
-    "heat_evolve",
-    "integrate",
-    "kernel",
-    "ladder_identity_residual",
-    "monte_carlo_transform",
-    "odd_moment_vanishes",
-    "poisson_bracket",
-    "purity_index",
-    "quantization_condition_residual",
-    "reproducing_residual",
-    "scaled",
-    "spectrum",
-    "taylor_remainder",
-    "trace",
-    "trace_numeric",
-    "transform_compose",
-    "uncertainty_quadrature",
-    "uncertainty_report",
-    "weight",
-    "wick_star",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a layer module; importing it binds it here
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

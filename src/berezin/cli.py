@@ -17,6 +17,12 @@ The `verify` record intentionally omits the timestamp so that two identical
 invocations produce byte-identical JSON; all other commands include an
 ISO-8601 UTC timestamp (their determinism contract covers the `results`
 field).  The BEREZIN_SEED environment variable supplies the default seed.
+
+Start-up loads only the standard library and the closed forms of
+`gaussian_calculus`: each command imports the layers (and numpy) it computes
+with inside its own branch, so `--version`, `--help`, a usage error, closed
+`transform` and the closed `sweep` quantities on a comma grid never load
+numpy.
 """
 
 from __future__ import annotations
@@ -30,12 +36,11 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-import numpy as np
-
-from . import __version__, bergman_space, quadrature, semiclassics, verify
+from . import __version__
 from .gaussian_calculus import (
     ComplexPoint,
     GaussianSymbol,
+    NumericContractError,
     QuantParams,
     berezin_transform_closed,
     taylor_remainder,
@@ -78,7 +83,7 @@ class RunRecord:
         except ValueError as exc:  # a NaN or infinity has no JSON form; name each one
             bad = re.findall(r'"(\w+)": (-?Infinity|NaN)', json.dumps(self.to_dict()))
             names = ", ".join(f"{key} = {float(value)!r}" for key, value in bad)
-            raise quadrature.NumericContractError(f"run record is not finite: {names}") from exc
+            raise NumericContractError(f"run record is not finite: {names}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
@@ -114,6 +119,8 @@ def parse_grid(text: str) -> list[float]:
         count = int(num)
         if count < 1:
             raise ValueError("grid needs at least one value")
+        import numpy as np
+
         fn = np.logspace if kind == "logspace" else np.linspace
         return [float(v) for v in fn(float(start), float(stop), count)]
     return [float(v) for v in text.split(",")]  # '' is one empty item, which float refuses
@@ -136,6 +143,8 @@ def cmd_transform(args) -> tuple[RunRecord, list]:
     results = {"lambda_prime": closed.compression, "amplitude_prime": closed.amplitude}
     checks = []
     if args.numeric is not None:
+        from . import verify
+
         point = parse_point(args.at) if args.at else ComplexPoint.origin(args.n)
         numeric, reference, deviation, check = verify.transform_check(symbol, point, q, order=args.numeric)
         results["numeric_value"] = {"re": numeric.real, "im": numeric.imag}
@@ -159,6 +168,8 @@ def cmd_transform(args) -> tuple[RunRecord, list]:
 
 
 def cmd_trace(args) -> tuple[RunRecord, list]:
+    from . import verify
+
     report, numeric, deviation, check = verify.trace_check(args.lam, QuantParams(args.alpha), args.n)
     return RunRecord(
         command="trace",
@@ -175,6 +186,8 @@ def cmd_trace(args) -> tuple[RunRecord, list]:
 
 
 def cmd_uncertainty(args) -> tuple[RunRecord, list]:
+    from . import verify
+
     closed, numeric, checks = verify.uncertainty_checks(args.lam, args.K)
     return RunRecord(
         command="uncertainty",
@@ -205,6 +218,8 @@ _SWEEP_QUANTITIES = (
 def _sweep_value(quantity: str, n: int, lam: float, alpha: float) -> float:
     q = QuantParams(alpha)
     if quantity == "normalized_trace":
+        from . import bergman_space
+
         return bergman_space.purity_index(lam, q, dim=n).normalized_trace
     symbol = GaussianSymbol(dim=n, amplitude=1.0, compression=lam)
     if quantity == "lambda_prime":
@@ -225,6 +240,11 @@ def cmd_sweep(args) -> tuple[RunRecord, list]:
     header = ["lambda", "alpha", "n", args.quantity]
     if args.quantity == "expansion_residual":
         # one residual row per alpha; the slope goes into the record
+        if len(alphas) < 3:  # refused by the quantity asked for: the default --alpha is a single value
+            raise ValueError(f"quantity expansion_residual must be swept over at least three alpha values "
+                             f"(--alphas), got {len(alphas)}")
+        from . import semiclassics
+
         grid = [(x,) * args.n for x in (0j, 0.3 + 0j, 0.7 + 0j)]
         for lam in lambdas:
             symbol = GaussianSymbol(dim=args.n, amplitude=1.0, compression=lam)
@@ -258,7 +278,14 @@ def cmd_sweep(args) -> tuple[RunRecord, list]:
     ), []
 
 
+# the `verify --suite` choices, listed here so that building the parser does
+# not import `verify` (a test pins them to `verify.SUITES`)
+_SUITES = ("theorem1", "trace", "heat", "expansion", "star", "uncertainty", "spectrum", "quadrature")
+
+
 def cmd_verify(args) -> tuple[RunRecord, list]:
+    from . import verify
+
     seed = _default_seed(args)
     checks = verify.run_suites(args.suite, seed=seed)
     all_passed = all(c.passed for c in checks)
@@ -326,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the oracle-equivalence suites")
-    p_verify.add_argument("--suite", choices=verify.SUITE_NAMES, default="all")
+    p_verify.add_argument("--suite", choices=_SUITES + ("all",), default="all")
     p_verify.add_argument("--seed", type=int, default=None,
                           help="seed for randomized checks (default: BEREZIN_SEED or 0)")
     p_verify.set_defaults(handler=cmd_verify)
@@ -339,7 +366,7 @@ def main(argv=None) -> int:
     try:
         record, checks = args.handler(args)
         sys.stdout.write(record.to_json() + "\n")
-    except quadrature.NumericContractError as exc:
+    except NumericContractError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONTRACT
     except (ValueError, OSError) as exc:

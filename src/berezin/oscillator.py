@@ -101,12 +101,21 @@ def spectrum(spec: OscillatorSpec, grid: GridSpec, levels: int) -> np.ndarray:
 
     _warn_if_coarse(grid)
     x, dx = grid.coordinates()
-    diagonal = x * x + 2.0 / dx**2 + (spec.h - 1.0)
-    off_diagonal = np.full(grid.points - 1, -1.0 / dx**2)
+    at = f"half_width={grid.half_width!r}, points={grid.points!r}"
+    try:
+        with np.errstate(over="ignore"):  # an overflowing entry is refused below, by name
+            diagonal = x * x + 2.0 / dx**2 + (spec.h - 1.0)
+        off_diagonal = np.full(grid.points - 1, -1.0 / dx**2)
+    except (OverflowError, ZeroDivisionError) as exc:  # dx**2 beyond the double range, or 0
+        raise NumericContractError(f"grid spacing {dx!r} squares out of the double range at {at}") from exc
+    if not (np.all(np.isfinite(diagonal)) and math.isfinite(off_diagonal[0])):
+        raise NumericContractError(f"the difference operator is not finite at {at}")
     values = eigvalsh_tridiagonal(diagonal, off_diagonal, select="i", select_range=(0, levels - 1))
-    if not np.all(np.isfinite(values)):
-        raise ArithmeticError("eigenvalue solve produced non-finite values")
-    return spec.dim * np.sort(values)
+    with np.errstate(over="ignore"):
+        energies = spec.dim * np.sort(values)
+    if not np.all(np.isfinite(energies)):
+        raise NumericContractError(f"the levels are not finite at dim={spec.dim!r}, h={spec.h!r}, {at}")
+    return energies
 
 
 def _second_diff(psi: np.ndarray, dx: float) -> np.ndarray:
@@ -119,9 +128,18 @@ def _first_diff(psi: np.ndarray, dx: float) -> np.ndarray:
     return (padded[2:] - padded[:-2]) / (2.0 * dx)
 
 
+# a state whose largest |sample| reaches 2**_SAFE_EXPONENT has a squared norm
+# beyond the double range; it is scaled by a power of two before the operator
+_SAFE_EXPONENT = 512
+
+
 def _worst_residual(grid: GridSpec, states: Sequence, residual: Callable) -> float:
     """Max over the states (callables of x, or samples) of ||residual(x, psi, dx)|| / ||psi||.
 
+    The ratio is scale-invariant and the residuals are linear, so a state too
+    large to square is first divided by the power of two at its largest
+    sample (exactly, bar samples that turn sub-normal); every other state is
+    used as given, so its residual is unchanged to the bit.
     Refuses, naming the state's index, a non-finite sample (and its first x),
     a negligible norm, and a norm or residual that overflowed."""
     if not states:
@@ -135,13 +153,20 @@ def _worst_residual(grid: GridSpec, states: Sequence, residual: Callable) -> flo
         bad = ~np.isfinite(psi)
         if np.any(bad):
             raise ValueError(f"state {index} is non-finite at x = {float(x[np.argmax(bad)])!r}")
+        exponent = math.frexp(float(np.abs(psi).max()))[1]
+        shift = exponent if exponent > _SAFE_EXPONENT else 0
+        if shift:
+            psi = psi * math.ldexp(1.0, -shift)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below, by name
             norm = float(np.linalg.norm(psi))
-            if norm * math.sqrt(dx) < 1e-10:
+            unscaled = float(np.ldexp(norm, shift))
+            if unscaled * math.sqrt(dx) < 1e-10:
                 raise ValueError("state has negligible norm on the grid")
             value = float(np.linalg.norm(residual(x, psi, dx))) / norm
         if not (math.isfinite(norm) and math.isfinite(value)):
-            raise NumericContractError(f"state {index} overflows on the grid: ||psi|| = {norm!r}, residual = {value!r}")
+            raise NumericContractError(
+                f"state {index} overflows on the grid: ||psi|| = {unscaled!r}, residual = {value!r}"
+            )
         worst = max(worst, value)
     return worst
 

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -31,7 +32,63 @@ def record_of(stdout):
     return json.loads(lines[0])
 
 
+def imported_by(*argv):
+    """(exit code, set of modules) of a fresh `python -X importtime` process."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True)
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+
+
 class TestStartup:
+    def test_import_berezin_loads_no_layer(self):
+        code, modules = imported_by("-c", "import berezin")
+        assert code == 0
+        assert not {"numpy", "scipy"} & modules
+        assert not [m for m in modules if m.startswith("berezin.")]
+        # a layer module and an exported name still resolve on first access
+        probe = (
+            "import sys, berezin\n"
+            "assert berezin.quadrature.gauss_hermite(4).nodes.shape == (4,)\n"
+            "assert berezin.GaussianSymbol(1, 1.0, 1.0).dim == 1\n"
+            "assert 'berezin.semiclassics' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--version"], 0),
+            (["--help"], 0),
+            (["transform", "--lambda", "1"], 2),
+            (["transform", "--lambda", "2", "--alpha", "3"], 0),
+            (["sweep", "--quantity", "lambda_prime", "--alphas", "1,2", "--out", os.devnull], 0),
+        ],
+    )
+    def test_closed_commands_load_no_numpy(self, argv, expected):
+        code, modules = imported_by("-m", "berezin", *argv)
+        assert code == expected
+        assert "berezin.cli" in modules
+        assert "numpy" not in modules
+
+    def test_namespace_is_the_home_modules(self):
+        import berezin
+
+        for module, names in berezin._EXPORTS.items():
+            home = importlib.import_module(f"berezin.{module}")
+            for name in names:
+                assert name in home.__all__
+                assert getattr(berezin, name) is getattr(home, name), name
+        assert len(berezin.__all__) == sum(map(len, berezin._EXPORTS.values()))  # each name listed once
+        assert set(berezin.__all__) <= set(dir(berezin))
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            berezin.no_such_name
+
+    def test_suite_choices_are_the_verify_suites(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == tuple(verify.SUITES) + ("all",)
+
     def test_import_loads_no_scipy(self):
         # scipy is loaded by oscillator.spectrum on its first call, not at import
         probe = (
@@ -502,6 +559,18 @@ INTEGER_TEXT = st.integers(-1, 400).map(str)
 NAMED = re.compile(
     r"\b(dim|order|alpha|amplitude|compression|lambda|K|var_x|var_p|rhs|norm_sq|ratio|relative_deviation)\b"
 )
+# a refusal names the parameter it refused (and may quote its value); the flag that sets it
+REFUSED = re.compile(r"^error: (\w+)(?: \S+)? must be ")
+FLAG_OF = {
+    "dim": "--n",
+    "order": "--numeric",
+    "alpha": "--alpha",
+    "amplitude": "--amplitude",
+    "compression": "--lambda",
+    "lambda": "--lambda",
+    "K": "--K",
+    "quantity": "--quantity",
+}
 
 
 def _command_argv(command: str, out: str):
@@ -544,3 +613,6 @@ class TestDeclaredDomain:
         else:  # a failed check (exit 3) still writes its record
             assert out == "" or code == 3
             assert NAMED.search(err), (argv, err)
+        if code == 2:  # the parser refused the text, or the library a parameter given in argv
+            refused = REFUSED.match(err)
+            assert err.startswith("usage:") or (refused and FLAG_OF.get(refused.group(1)) in argv), (argv, err)

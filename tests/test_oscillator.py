@@ -60,6 +60,25 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(OscillatorSpec(), GRID, levels=11)
 
+    @pytest.mark.parametrize("half_width", [1e200, 1e-200])
+    @pytest.mark.filterwarnings("ignore:grid .* is below the spectral-claim resolution")
+    def test_grid_beyond_the_double_range_is_named(self, half_width):
+        # the spacing squares to infinity, or to 0, in 2 / dx^2
+        named = f"half_width={half_width!r}, points=2000"
+        with pytest.raises(NumericContractError, match=re.escape(named)):
+            spectrum(OscillatorSpec(1, 1.0), GridSpec(half_width, 2000), 4)
+
+    def test_non_finite_levels_are_named(self, monkeypatch):
+        # the levels dim * (2j + h) overflow at dim 2
+        with pytest.raises(NumericContractError, match=re.escape("dim=2, h=1e+308, half_width=10.0, points=2000")):
+            spectrum(OscillatorSpec(2, 1e308), GRID, 2)
+        # a solve that returns a non-finite value is refused, not returned
+        import scipy.linalg
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", lambda *args, **kwargs: np.array([1.0, np.nan]))
+        with pytest.raises(NumericContractError, match=re.escape("half_width=10.0, points=2000")):
+            spectrum(OscillatorSpec(), GRID, 2)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(half_width=10.0, points=2)
@@ -135,8 +154,21 @@ class TestLadderIdentity:
             ladder_identity_residual([gaussian, lambda x: np.full_like(x, np.inf)], grid)
 
     def test_overflowing_norm_is_contract_error(self):
+        # scaled to a unit peak, the state's second difference still overflows
+        # at dx = 1e-155; the refusal reports the norm of the state as given
+        grid = GridSpec(1e-152 * 2001 / 2, 2000)
         with pytest.raises(NumericContractError, match=r"^state 0 overflows on the grid: \|\|psi\|\| = inf"):
-            ladder_identity_residual([lambda x: np.full_like(x, 1e307)], GRID)
+            ladder_identity_residual([lambda x: np.full_like(x, 1e307)], grid)
+
+    def test_state_too_large_to_square_is_scaled_exactly(self):
+        # np.linalg.norm of a state with samples beyond ~1.3e154 overflows;
+        # the residual is that of the state divided by an exact power of two
+        unit = ladder_identity_residual([gaussian], GRID)
+        large = ladder_identity_residual([lambda x: 1e160 * gaussian(x)], GRID)
+        assert large == pytest.approx(unit, rel=1e-10)  # the rounding of 1e160 * exp moves the 13th digit
+        assert ladder_identity_residual([lambda x: 2.0**531 * gaussian(x)], GRID) == unit
+        samples = 1e160 * gaussian(GRID.coordinates()[0])
+        assert ladder_identity_residual([samples], GRID) == ladder_identity_residual([samples * 2.0**-531], GRID)
 
     def test_needs_states(self):
         with pytest.raises(ValueError, match="at least one"):
