@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,14 +140,17 @@ def purity_index(lam: float, q: QuantParams, dim: int = 1) -> TraceReport:
 
     normalized_trace = (alpha/(alpha + 3*lam))^(n/2); raw_trace is the trace
     of the squared transform computed from the transformed symbol (A = 1).
-    Either one underflowing to 0 raises `NumericContractError`, naming it.
+    Either one underflowing to 0 or to a sub-normal raises
+    `NumericContractError`, naming the smaller.
     """
     lam = _real("lambda", lam)
     raw = trace(_squared_transform(lam, q, dim), q)
     normalized = _half_power(q.alpha / (q.alpha + 3.0 * lam), dim)
-    for name, value in (("raw trace", raw), ("normalized trace", normalized)):
-        if value == 0.0:  # both are positive in exact arithmetic
-            raise NumericContractError(f"{name} underflows to 0 at lambda={lam!r}, alpha={q.alpha!r}, n={dim}")
+    # both are positive in exact arithmetic; the smaller one is named
+    name, value = min((("raw trace", raw), ("normalized trace", normalized)), key=lambda item: item[1])
+    if value < sys.float_info.min:
+        fault = "underflows to 0" if value == 0.0 else f"= {value!r} is sub-normal"
+        raise NumericContractError(f"{name} {fault} at lambda={lam!r}, alpha={q.alpha!r}, n={dim}")
     return TraceReport(raw_trace=raw, normalized_trace=normalized, alpha=q.alpha, lam=lam, dim=dim)
 
 

@@ -280,7 +280,7 @@ def cmd_sweep(args) -> tuple[RunRecord, list]:
 
 # the `verify --suite` choices, listed here so that building the parser does
 # not import `verify` (a test pins them to `verify.SUITES`)
-_SUITES = ("theorem1", "trace", "heat", "expansion", "star", "uncertainty", "spectrum", "quadrature")
+_SUITES = ("theorem1", "trace", "expansion", "star", "uncertainty", "spectrum", "quadrature")
 
 
 def cmd_verify(args) -> tuple[RunRecord, list]:

@@ -214,31 +214,35 @@ def transform_compose(g: GaussianSymbol, q1: QuantParams, q2: QuantParams) -> Ga
     return berezin_transform_closed(berezin_transform_closed(g, q1), q2)
 
 
+def _first_order(g: GaussianSymbol, q: QuantParams, point: ComplexPoint) -> float:
+    """g + Lap(g)/(4*alpha), the transform to first order in 1/alpha, at the point:
+
+        A * [1 + lam^2*u^2/(4*alpha) - (n/2)*(lam/alpha)] * exp(-lam*u^2/4),
+
+    u^2 = sum_j (z_j + conj(z_j))^2.  A factor outside the double range
+    raises NumericContractError naming lambda and alpha.
+    """
+    lam = g.compression
+    a = q.alpha
+    u2 = _real_square_sum(point)
+    factor = 1.0 + lam * lam * u2 / (4.0 * a) - 0.5 * g.dim * lam / a
+    if not math.isfinite(factor):
+        raise NumericContractError(
+            f"Taylor remainder is not finite (first-order factor {factor!r}) at lambda={lam!r}, alpha={a!r}"
+        )
+    return g.amplitude * factor * math.exp(-0.25 * lam * u2)
+
+
 def taylor_remainder(g: GaussianSymbol, q: QuantParams, z: PointLike) -> float:
     """Deviation of the transform from its first order in 1/alpha at z.
 
     Compares (with amplitude fixed to 1) the closed-form transform against
-
-        [1 + lam^2*u^2/(4*alpha) - (n/2)*(lam/alpha)] * exp(-lam*u^2/4),
-
-    u^2 = sum_j (z_j + conj(z_j))^2.  The remainder decays as O(alpha^-2).
-    A first-order factor or remainder outside the double range raises
-    NumericContractError naming lambda and alpha.
+    its first order (`_first_order`, which refuses a factor beyond the double
+    range); the remainder decays as O(alpha^-2).
     """
     point = as_point(z, g.dim)
-    lam = g.compression
-    a = q.alpha
-    n = g.dim
-    u2 = _real_square_sum(point)
-    unit = GaussianSymbol(dim=n, amplitude=1.0, compression=lam)
-    exact = evaluate(berezin_transform_closed(unit, q), point)
-    factor = 1.0 + lam * lam * u2 / (4.0 * a) - 0.5 * n * lam / a
-    remainder = abs(exact - factor * math.exp(-0.25 * lam * u2))
-    if not (math.isfinite(factor) and math.isfinite(remainder)):
-        raise NumericContractError(
-            f"Taylor remainder is not finite (first-order factor {factor!r}) at lambda={lam!r}, alpha={a!r}"
-        )
-    return remainder
+    unit = GaussianSymbol(dim=g.dim, amplitude=1.0, compression=g.compression)
+    return abs(evaluate(berezin_transform_closed(unit, q), point) - _first_order(unit, q, point))
 
 
 def gaussian_moment(k: int, a: float) -> float:

@@ -276,10 +276,11 @@ class UncertaintyReport:
 def _report(lam: float, amplitude: float, **moments: float) -> UncertaintyReport:
     # each moment is finite in exact arithmetic, and rhs and norm_sq, which
     # divide the ratio and the normalized variances, are positive; a double
-    # that overflows, or a divisor that underflows to 0 or to a sub-normal
-    # with only a few significant bits, cannot stand for them
+    # that overflows, a sub-normal with only a few significant bits, or a
+    # divisor at 0 cannot stand for them (a variance of 0 is a rule's own
+    # answer: the order-1 rule has its only node at 0)
     for name, value in moments.items():
-        if not math.isfinite(value) or (value < sys.float_info.min and name in ("rhs", "norm_sq")):
+        if not (sys.float_info.min <= value < math.inf or (value == 0.0 and name in ("var_x", "var_p"))):
             raise NumericContractError(
                 f"{name} = {value!r} is out of the double range at lambda={lam!r}, K={amplitude!r}"
             )
@@ -323,5 +324,7 @@ def uncertainty_quadrature(lam: float, amplitude: float = 1.0, order: int = 80) 
     second_moment = float(integrate(lambda u: u * u, rules, scale=a))
     mass = float(integrate(lambda u: np.ones_like(u), rules, scale=a))
     var_x = k2 * second_moment
-    var_p = k2 * a * (a * second_moment)  # a * a is sub-normal below lambda ~ 1e-154
-    return _report(lam, amplitude, var_x=var_x, var_p=var_p, rhs=0.25 * (k2 * mass) ** 2, norm_sq=k2 * mass)
+    # a * a is sub-normal below lambda ~ 1e-154, and k2 * a below K^2 * lambda ~ 1e-308
+    var_p = k2 * (a * (a * second_moment))
+    half = 0.5 * k2 * mass  # (k2 * mass)**2 may overflow where rhs = half**2 does not
+    return _report(lam, amplitude, var_x=var_x, var_p=var_p, rhs=half * half, norm_sq=k2 * mass)

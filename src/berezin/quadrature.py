@@ -312,7 +312,8 @@ def monte_carlo_transform(
     on its rows; a callable of the same symbol gets the same estimate.
     A non-finite value raises, naming the sample (for a symbol, Re w drawn and Im w = Im z); so
     does a mean or standard error that overflows, naming it (and a symbol's
-    amplitude).
+    amplitude), and a symbol's mean that underflows to 0, naming its
+    amplitude, lambda and alpha.
     """
     point = as_point(z, f.dim if isinstance(f, GaussianSymbol) else None)
     n = point.dim
@@ -341,6 +342,11 @@ def monte_carlo_transform(
         what = f"estimate {complex(mean)!r}" if not cmath.isfinite(mean) else f"standard error {stderr!r}"
         at = f" at amplitude={f.amplitude!r}" if isinstance(f, GaussianSymbol) else ""
         raise NumericContractError(f"Monte-Carlo {what} is not finite{at}")
+    if mean == 0.0 and isinstance(f, GaussianSymbol):  # a positive symbol: every sample underflowed
+        raise NumericContractError(
+            f"Monte-Carlo estimate underflows to 0 at amplitude={f.amplitude!r}, "
+            f"lambda={f.compression!r}, alpha={q.alpha!r}"
+        )
     return complex(mean), stderr
 
 

@@ -168,6 +168,13 @@ class TestPurity:
         with pytest.raises(NumericContractError, match="^" + re.escape(refused) + "$"):
             purity_index(lam, QuantParams(alpha), dim=dim)
 
+    def test_sub_normal_trace_is_contract_error(self):
+        # the raw trace 5.2993e-319 keeps a few significant bits; the quadrature
+        # check against it read a 9.3e-6 deviation
+        refused = "raw trace = 5.2993e-319 is sub-normal at lambda=3.05884e-54, alpha=3.8568e-213, n=2"
+        with pytest.raises(NumericContractError, match="^" + re.escape(refused) + "$"):
+            purity_index(3.05884e-54, QuantParams(3.8568e-213), dim=2)
+
     def test_report_invariant(self):
         with pytest.raises(ValueError):
             TraceReport(raw_trace=0.1, normalized_trace=1.5, alpha=1.0, lam=1.0, dim=1)

@@ -348,6 +348,13 @@ class TestTraceCommand:
         assert out == ""
         assert f"{name} underflows to 0 at lambda={float(lam)!r}, alpha={float(alpha)!r}, n={n}" in err
 
+    def test_sub_normal_trace_is_contract_error(self, capsys):
+        # the raw trace 5.2993e-319 was checked against quadrature and read a 9.3e-6 deviation
+        code, out, err = run_cli(capsys, "trace", "--n", "2", "--lambda", "3.05884e-54", "--alpha", "3.8568e-213")
+        assert code == 3
+        assert out == ""
+        assert "raw trace = 5.2993e-319 is sub-normal at lambda=3.05884e-54, alpha=3.8568e-213, n=2" in err
+
 
 class TestUncertaintyCommand:
     def test_unit_compression(self, capsys):
@@ -392,6 +399,15 @@ class TestUncertaintyCommand:
         assert code == 3
         assert out == ""
         assert "rhs = 1.571e-320" in err and "K=1e-80" in err
+
+    def test_squared_norm_near_the_top_of_the_range_passes(self, capsys):
+        # (K^2 * mass)**2 = 6.9e308 raised OverflowError (exit 4); rhs = (K^2 * mass / 2)**2 is 1.7e308
+        argv = ["uncertainty", "--lambda", "1.681362160722755e+36", "--K", "1.2171859718419323e+77"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        results = record_of(out)["results"]
+        assert abs(results["ratio"] - 1.0) <= 1e-15
+        assert results["ratio_quadrature"] == 1.0
 
     def test_negative_compression_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "uncertainty", "--lambda", "-1")
@@ -523,10 +539,25 @@ class TestVerifyCommand:
         _, second, _ = run_cli(capsys, "verify", "--suite", "expansion", "--seed", "3")
         assert first == second
 
+    def test_expansion_check_compares_the_quadrature_oracle_with_the_first_order(self, monkeypatch):
+        from berezin import gaussian_calculus, quadrature
+
+        [check] = verify.run_suites("expansion")
+        assert "quadrature" in check.name and check.passed
+        assert check.value == pytest.approx(1.713e-2, abs=5e-6)
+        # a first order off by O(1/alpha), or an oracle that does not smooth,
+        # leaves alpha times the gap O(1): slope 0, and the check fails
+        with monkeypatch.context() as patch:
+            wrong = lambda g, q, point: gaussian_calculus._first_order(g, q, point) * (1.0 + 1.0 / q.alpha)
+            patch.setattr(verify, "_first_order", wrong)
+            assert not verify.run_suites("expansion")[0].passed
+        monkeypatch.setattr(quadrature, "berezin_transform_numeric", lambda g, z, q: gaussian_calculus.evaluate(g, z))
+        assert not verify.run_suites("expansion")[0].passed
+
     def test_env_seed_default(self):
         env = dict(os.environ, BEREZIN_SEED="123")
         out = subprocess.run(
-            [sys.executable, "-m", "berezin", "verify", "--suite", "heat"],
+            [sys.executable, "-m", "berezin", "verify", "--suite", "expansion"],
             capture_output=True,
             text=True,
             env=env,
@@ -540,9 +571,10 @@ class TestVerifyCommand:
         assert out == ""
         assert "seed must be a non-negative integer, got -1" in err
 
-    def test_unknown_suite_exits_two(self):
+    @pytest.mark.parametrize("suite", ["nope", "heat"])  # heat was folded into expansion
+    def test_unknown_suite_exits_two(self, suite):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "nope"])
+            main(["verify", "--suite", suite])
         assert exc.value.code == 2
 
 

@@ -38,7 +38,7 @@ from berezin import (
     uncertainty_quadrature,
     uncertainty_report,
 )
-from berezin.gaussian_calculus import NumericContractError
+from berezin.gaussian_calculus import NumericContractError, _first_order, as_point
 
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -184,6 +184,23 @@ class TestTaylorRemainder:
         # lam^2 overflows; the factor (inf) times exp(-...) = 0 was a quiet NaN
         with pytest.raises(NumericContractError, match=r"lambda=1e\+172, alpha=5e\+255"):
             taylor_remainder(GaussianSymbol(1, 1.0, 1e172), QuantParams(5e255), 0.3)
+
+    @pytest.mark.parametrize("dim,z", [(1, 0j), (1, 0.7 - 0.2j), (2, (0.3 + 0j, -0.45 + 0.6j))])
+    def test_first_order_is_symbol_plus_quarter_laplacian_over_alpha(self, dim, z):
+        # g + Lap(g)/(4*alpha), with Lap(g)/4 = (lam^2*u^2 - 2*n*lam)/4 * g
+        g, q, point = GaussianSymbol(dim, 2.5, 1.5), QuantParams(40.0), as_point(z, dim)
+        u2 = sum((2.0 * c.real) ** 2 for c in point.coords)
+        quarter_laplacian = 0.25 * (1.5**2 * u2 - 2.0 * dim * 1.5) * evaluate(g, point)
+        assert _first_order(g, q, point) == pytest.approx(evaluate(g, point) + quarter_laplacian / 40.0, rel=1e-14)
+
+    def test_remainder_is_the_gap_to_the_first_order(self):
+        g, q, point = GaussianSymbol(2, 1.0, 0.8), QuantParams(12.0), as_point((0.3 + 0.1j, -0.2j), 2)
+        closed = evaluate(berezin_transform_closed(g, q), point)
+        assert taylor_remainder(g, q, point) == abs(closed - _first_order(g, q, point))
+
+    def test_first_order_refuses_an_overflowing_factor(self):
+        with pytest.raises(NumericContractError, match=r"lambda=1e\+172, alpha=5e\+255"):
+            _first_order(GaussianSymbol(1, 1.0, 1e172), QuantParams(5e255), as_point(0.3))
 
     def test_amplitude_ignored(self):
         q = QuantParams(25.0)

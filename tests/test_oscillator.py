@@ -254,6 +254,8 @@ class TestUncertainty:
             (uncertainty_quadrature, 1.0, 1e-90, "rhs = 0.0"),  # K^4 underflows
             (uncertainty_report, 1.0, 1e-80, "rhs = 1.571e-320"),  # K^4 is sub-normal
             (uncertainty_quadrature, 1.0, 1e-80, "rhs = 1.5706e-320"),
+            (uncertainty_report, 1e-200, 1e-105, "var_p = 8.8622692545277e-311"),  # K^2 * sqrt(lam) is sub-normal
+            (uncertainty_quadrature, 1e-200, 1e-105, "var_p = 8.8622692545277e-311"),
         ],
     )
     def test_moment_beyond_double_range_raises(self, compute, lam, amplitude, moment):
@@ -277,6 +279,13 @@ class TestUncertainty:
         assert abs(numeric.ratio - 1.0) <= 1e-15
         assert numeric.var_p == pytest.approx(closed.var_p, rel=1e-15)
         assert numeric.var_x == pytest.approx(closed.var_x, rel=1e-15)
+
+    def test_tiny_compression_and_amplitude_keep_var_p(self):
+        # K^2 * a = 8.4e-334 underflowed to 0, so var_p read 0 and the ratio 0
+        closed = uncertainty_report(5.474803068585877e-187, 1.2353896420602611e-73)
+        numeric = uncertainty_quadrature(5.474803068585877e-187, 1.2353896420602611e-73)
+        assert numeric.var_p == pytest.approx(closed.var_p, rel=1e-15)
+        assert abs(numeric.ratio - 1.0) <= 1e-15
 
     def test_one_node_rule_reports_failed_ratio(self):
         # the order-1 rule has its only node at 0, so both second moments vanish

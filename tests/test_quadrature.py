@@ -444,6 +444,19 @@ class TestMonteCarlo:
         with pytest.raises(NumericContractError, match="Monte-Carlo " + refused):
             monte_carlo_transform(GaussianSymbol(1, amplitude, compression), 0j, QuantParams(1.0), cfg)
 
+    def test_underflowing_symbol_estimate_is_refused(self):
+        # sigma = 7.2e126, so every sample's exponent is about -1e46 and the mean
+        # of the positive symbol is 0, against a closed value of 6.7e-107
+        g, q, z = GaussianSymbol(2, 1.7369e-60, 2.4972e-207), QuantParams(9.59e-254), (1.71, 1.71)
+        assert evaluate(berezin_transform_closed(g, q), z) == pytest.approx(6.67021904533077e-107, rel=1e-12)
+        refused = "Monte-Carlo estimate underflows to 0 at amplitude=1.7369e-60, lambda=2.4972e-207, alpha=9.59e-254"
+        with pytest.raises(NumericContractError, match="^" + re.escape(refused) + "$"):
+            monte_carlo_transform(g, z, q, MonteCarloConfig(samples=1000, seed=0))
+
+    def test_zero_callable_estimate_is_zero(self):
+        cfg = MonteCarloConfig(samples=1000, seed=0)
+        assert monte_carlo_transform(lambda w: np.zeros(w.shape), 0j, QuantParams(1.0), cfg) == (0j, 0.0)
+
     def test_overflowing_callable_estimate_is_refused(self):
         cfg = MonteCarloConfig(samples=100_000, seed=3)
         with pytest.raises(NumericContractError, match=r"Monte-Carlo estimate \(inf\+0j\) is not finite$"):

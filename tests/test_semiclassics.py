@@ -520,6 +520,27 @@ class TestExpansionCheck:
     def test_needs_increasing_alphas(self):
         with pytest.raises(ValueError, match="increasing"):
             expansion_check(GaussianSymbol(1, 1.0, 1.0), (10.0, 10.0, 100.0), (0j,))
+        # refused before any residual or fit: a fit on equal abscissae warns (RankWarning)
+        with pytest.raises(ValueError, match="increasing"):
+            expansion_check(GaussianSymbol(1, 1.0, 1.0), (10.0, 10.0, 10.0), (0j, 0.3 + 0j))
+
+    def test_residual_is_amplitude_times_alpha_times_sup_taylor_remainder(self):
+        from berezin import taylor_remainder
+
+        grid = (0j, 0.3 + 0j, 0.7 + 0j)
+        g = GaussianSymbol(2, 40.0, 1.5)
+        report = expansion_check(g, (10.0, 100.0, 1000.0), [(z, z) for z in grid])
+        for alpha, residual in zip(report.alphas, report.residual_norms):
+            sup = max(taylor_remainder(g, QuantParams(alpha), (z, z)) for z in grid)
+            assert residual == 40.0 * alpha * sup
+
+    def test_frozen_residuals(self):
+        report = expansion_check(
+            GaussianSymbol(1, 1.0, 1.0), (10.0, 100.0, 1000.0), (0j, 0.3 + 0j, 0.7 + 0j)
+        )
+        frozen = (0.03462589245592396, 0.0037190209989157452, 0.00037468777314142443)
+        assert report.residual_norms == pytest.approx(frozen, rel=1e-9)
+        assert report.fitted_slope == pytest.approx(-0.9828657272262038, rel=1e-9)
 
     def test_needs_points(self):
         with pytest.raises(ValueError, match="at least one point"):
