@@ -398,7 +398,16 @@ class TestUncertaintyCommand:
         code, out, err = run_cli(capsys, "uncertainty", "--lambda", "1", "--K", "1e-80")
         assert code == 3
         assert out == ""
-        assert "rhs = 1.571e-320" in err and "K=1e-80" in err
+        assert "rhs = 1.5706e-320" in err and "K=1e-80" in err
+
+    def test_tiny_amplitude_and_compression_keep_a_normal_rhs(self, capsys):
+        # rhs = K^4 pi r / 4 = 7.9e-201, where K^4 = 1e-400 underflowed to 0 before r = 1e200 came in
+        code, out, _ = run_cli(capsys, "uncertainty", "--lambda", "1e-200", "--K", "1e-100")
+        assert code == 0
+        results = record_of(out)["results"]
+        assert results["rhs"] == pytest.approx(7.853981633974483e-201, rel=1e-15, abs=0.0)
+        assert abs(results["ratio"] - 1.0) <= 1e-15
+        assert abs(results["ratio_quadrature"] - 1.0) <= 1e-15
 
     def test_squared_norm_near_the_top_of_the_range_passes(self, capsys):
         # (K^2 * mass)**2 = 6.9e308 raised OverflowError (exit 4); rhs = (K^2 * mass / 2)**2 is 1.7e308

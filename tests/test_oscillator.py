@@ -2,6 +2,7 @@
 
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -78,6 +79,43 @@ class TestSpectrum:
         monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", lambda *args, **kwargs: np.array([1.0, np.nan]))
         with pytest.raises(NumericContractError, match=re.escape("half_width=10.0, points=2000")):
             spectrum(OscillatorSpec(), GRID, 2)
+
+    def test_more_levels_than_points_are_named(self):
+        # scipy refused select_range=(0, 3) on 3 rows without naming a parameter
+        with pytest.raises(ValueError, match=re.escape("levels=4 exceeds the grid's points=3")):
+            spectrum(OscillatorSpec(), GridSpec(10.0, 3), 4)
+
+    @pytest.mark.parametrize("points", [3, 4, 5, 6, 400, 2000, 4001])
+    @pytest.mark.filterwarnings("ignore:grid .* is below the spectral-claim resolution")
+    def test_split_solve_matches_the_full_operator(self, points):
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        grid = GridSpec(10.0, points)
+        x, dx = grid.coordinates()
+        for h in (0.5, 1.0, 1.3):
+            diagonal = x * x + 2.0 / dx**2 + (h - 1.0)
+            off_diagonal = np.full(points - 1, -1.0 / dx**2)
+            for levels in range(1, min(10, points) + 1):
+                full = eigvalsh_tridiagonal(diagonal, off_diagonal, select="i", select_range=(0, levels - 1))
+                split = spectrum(OscillatorSpec(1, h), grid, levels)
+                assert np.max(np.abs(split - full) / np.abs(full)) <= 1e-10, (h, levels)
+
+    @pytest.mark.parametrize("points", [2000, 4001])
+    def test_one_call_solves_two_half_blocks(self, monkeypatch, points):
+        import scipy.linalg
+
+        solve, rows = scipy.linalg.eigvalsh_tridiagonal, []
+
+        def counting(diagonal, *args, **kwargs):
+            rows.append(len(diagonal))
+            return solve(diagonal, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", counting)
+        spectrum(OscillatorSpec(), GridSpec(10.0, points), 4)
+        assert rows == [(points + 1) // 2, points // 2]
+        rows.clear()
+        spectrum(OscillatorSpec(), GridSpec(10.0, points), 1)  # the ground level is even
+        assert rows == [(points + 1) // 2]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -252,15 +290,33 @@ class TestUncertainty:
             (uncertainty_report, 1e-206, 1.0, "var_x = inf"),
             (uncertainty_report, 1.0, 1e160, "var_x = inf"),
             (uncertainty_quadrature, 1.0, 1e-90, "rhs = 0.0"),  # K^4 underflows
-            (uncertainty_report, 1.0, 1e-80, "rhs = 1.571e-320"),  # K^4 is sub-normal
+            (uncertainty_report, 1.0, 1e-80, "rhs = 1.5706e-320"),  # K^4 is sub-normal
             (uncertainty_quadrature, 1.0, 1e-80, "rhs = 1.5706e-320"),
             (uncertainty_report, 1e-200, 1e-105, "var_p = 8.8622692545277e-311"),  # K^2 * sqrt(lam) is sub-normal
             (uncertainty_quadrature, 1e-200, 1e-105, "var_p = 8.8622692545277e-311"),
+            # var_p (8.9e-331, 8.9e-327) rounds to exactly 0, which only the order-1 rule gives genuinely
+            (uncertainty_quadrature, 1e-200, 1e-115, "var_p = 0.0"),
+            (uncertainty_report, 1e-300, 1e-88, "var_p = 0.0"),
         ],
     )
     def test_moment_beyond_double_range_raises(self, compute, lam, amplitude, moment):
         with pytest.raises(NumericContractError, match=re.escape(moment) + ".*lambda="):
             compute(lam, amplitude)
+
+    @pytest.mark.parametrize(
+        "lam,amplitude",
+        [
+            (1e-200, 1e-100),  # K^4 = 1e-400 underflowed to 0 before r = 1e200 multiplied it
+            (1.5455666555109156e-145, 1.797165575674341e-81),  # K^4 kept a few bits: the ratio read 0.553
+        ],
+    )
+    def test_tiny_amplitude_and_compression_keep_a_normal_rhs(self, lam, amplitude):
+        closed, numeric = uncertainty_report(lam, amplitude), uncertainty_quadrature(lam, amplitude)
+        # K^4 pi r / 4 in decimal arithmetic, whose exponent range holds K^4
+        exact = float(Decimal(math.pi / 4.0) * Decimal(amplitude) ** 4 * (1 + Decimal(lam)) / Decimal(lam))
+        assert closed.rhs == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert closed.rhs == pytest.approx(numeric.rhs, rel=1e-15, abs=0.0)
+        assert abs(closed.ratio - 1.0) <= 1e-15
 
     def test_huge_lambda_has_finite_moments(self):
         # r = (1 + lam)/lam rounds to 1, where (1 + lam)^(3/2) / lam^(3/2) was inf/inf
@@ -277,14 +333,14 @@ class TestUncertainty:
         # ~ 1e-162, so var_p is formed as a * (a * second moment)
         closed, numeric = uncertainty_report(lam), uncertainty_quadrature(lam)
         assert abs(numeric.ratio - 1.0) <= 1e-15
-        assert numeric.var_p == pytest.approx(closed.var_p, rel=1e-15)
+        assert numeric.var_p == pytest.approx(closed.var_p, rel=1e-15, abs=0.0)
         assert numeric.var_x == pytest.approx(closed.var_x, rel=1e-15)
 
     def test_tiny_compression_and_amplitude_keep_var_p(self):
         # K^2 * a = 8.4e-334 underflowed to 0, so var_p read 0 and the ratio 0
         closed = uncertainty_report(5.474803068585877e-187, 1.2353896420602611e-73)
         numeric = uncertainty_quadrature(5.474803068585877e-187, 1.2353896420602611e-73)
-        assert numeric.var_p == pytest.approx(closed.var_p, rel=1e-15)
+        assert numeric.var_p == pytest.approx(closed.var_p, rel=1e-15, abs=0.0)
         assert abs(numeric.ratio - 1.0) <= 1e-15
 
     def test_one_node_rule_reports_failed_ratio(self):
