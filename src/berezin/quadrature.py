@@ -28,8 +28,8 @@ centred Gaussian and provides a second, statistically independent route on
 one stream, sigma * standard_normal((2, n, N)) with blocks Re(w - z) and
 Im(w - z): a GaussianSymbol reads and draws block 0, a callable both.
 
-All reductions use a fixed deterministic order (pairwise folding), so
-results are reproducible run-to-run.
+Sums use numpy's own reduction, a pairwise summation whose order depends
+only on the array's shape, so results are reproducible run-to-run.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ __all__ = [
     "gauss_hermite",
     "integrate",
     "monte_carlo_transform",
-    "tree_sum",
 ]
 
 MAX_RULE_ORDER = 360
 MAX_TENSOR_DIM = 4
+MIN_EFFECTIVE_SAMPLES = 100  # a symbol's Monte-Carlo estimate must rest on at least this many
 RULE_CACHE_SIZE = 16
 
 
@@ -97,28 +97,6 @@ class MonteCarloConfig:
     def __post_init__(self):
         object.__setattr__(self, "samples", _integer("samples", self.samples, 1000))
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0, 2**64 - 1))  # an unsigned 64-bit integer
-
-
-def tree_sum(values):
-    """Deterministic pairwise reduction of a 1-D array.
-
-    Elements i and i+half are folded together until one value remains; the
-    order is a pure function of the array length, so the result is
-    reproducible run-to-run (unlike parallel reductions).
-    """
-    a = np.ravel(np.asarray(values)).copy()
-    n = a.size
-    if n == 0:
-        return a.dtype.type(0) if a.dtype != object else 0.0
-    while n > 1:
-        half = n // 2
-        a[:half] = a[:half] + a[half : 2 * half]
-        if n % 2:
-            a[half] = a[2 * half]
-            n = half + 1
-        else:
-            n = half
-    return a[0]
 
 
 def _hermite_functions(x: np.ndarray, order: int, squares: bool = False):
@@ -215,7 +193,8 @@ def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale=1.0):
     a weighted sum beyond the double range raises, naming it and the scales.
     One loop evaluates, checks and sums slabs: a d <= 2 grid is one slab of
     weight 1, a d in {3, 4} grid one slab per node of its first axis (with
-    that node's weight), which bounds memory to m^(d-1) values.
+    that node's weight), which bounds memory to m^(d-1) values.  Slabs and
+    their total are summed by numpy's fixed-order pairwise reduction.
     """
     rules = list(rules)
     d = len(rules)
@@ -237,9 +216,9 @@ def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale=1.0):
         vals = np.broadcast_to(np.asarray(fn(*head, *grids)), shape)
         _check_finite(vals, slab_axes, head)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused below, by name
-            sums.append(head_weight * tree_sum(vals * slab_weights))
+            sums.append(head_weight * (vals * slab_weights).sum())
     with np.errstate(over="ignore", invalid="ignore"):
-        total = tree_sum(np.array(sums)) * norm
+        total = np.sum(sums) * norm
     if not np.isfinite(total):
         raise NumericContractError(f"weighted sum {total} is not finite at scales {scales}")
     return total
@@ -272,12 +251,12 @@ def berezin_transform_numeric(
 
     if isinstance(f, GaussianSymbol):
         offsets = spread * rule.nodes
-        mass = tree_sum(rule.weights)
+        mass = rule.weights.sum()
         value = f.amplitude
         for c in point.coords:
             values = rule.weights * np.exp(-f.compression * (c.real + offsets) ** 2)
             _check_finite(values, [offsets])
-            value *= tree_sum(values) * mass / math.pi
+            value *= values.sum() * mass / math.pi
         return complex(value)
 
     if n > 2:
@@ -312,8 +291,9 @@ def monte_carlo_transform(
     on its rows; a callable of the same symbol gets the same estimate.
     A non-finite value raises, naming the sample (for a symbol, Re w drawn and Im w = Im z); so
     does a mean or standard error that overflows, naming it (and a symbol's
-    amplitude), and a symbol's mean that underflows to 0, naming its
-    amplitude, lambda and alpha.
+    amplitude).  A symbol's mean that underflows to 0, or that rests on
+    fewer than MIN_EFFECTIVE_SAMPLES effective samples (sum f)^2 / sum f^2,
+    raises, naming its amplitude, lambda and alpha.
     """
     point = as_point(z, f.dim if isinstance(f, GaussianSymbol) else None)
     n = point.dim
@@ -342,11 +322,17 @@ def monte_carlo_transform(
         what = f"estimate {complex(mean)!r}" if not cmath.isfinite(mean) else f"standard error {stderr!r}"
         at = f" at amplitude={f.amplitude!r}" if isinstance(f, GaussianSymbol) else ""
         raise NumericContractError(f"Monte-Carlo {what} is not finite{at}")
-    if mean == 0.0 and isinstance(f, GaussianSymbol):  # a positive symbol: every sample underflowed
-        raise NumericContractError(
-            f"Monte-Carlo estimate underflows to 0 at amplitude={f.amplitude!r}, "
-            f"lambda={f.compression!r}, alpha={q.alpha!r}"
-        )
+    if isinstance(f, GaussianSymbol):  # a positive symbol
+        at = f"amplitude={f.amplitude!r}, lambda={f.compression!r}, alpha={q.alpha!r}"
+        if mean == 0.0:  # every sample underflowed
+            raise NumericContractError(f"Monte-Carlo estimate underflows to 0 at {at}")
+        # (sum f)^2 / sum f^2 from the mean and standard error: 1 when one sample carries the sum
+        effective = cfg.samples / (1.0 + (cfg.samples - 1) * (stderr / float(mean)) ** 2)
+        if effective < MIN_EFFECTIVE_SAMPLES:
+            raise NumericContractError(
+                f"Monte-Carlo estimate has effective sample size {effective:.3g} "
+                f"(below {MIN_EFFECTIVE_SAMPLES}) at {at}"
+            )
     return complex(mean), stderr
 
 

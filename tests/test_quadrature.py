@@ -2,6 +2,8 @@
 
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from berezin import (
     integrate,
     monte_carlo_transform,
 )
-from berezin.quadrature import MAX_RULE_ORDER, RULE_CACHE_SIZE, NumericContractError, _build_rule, tree_sum
+from berezin.quadrature import MAX_RULE_ORDER, RULE_CACHE_SIZE, NumericContractError, _build_rule
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -298,7 +300,7 @@ class TestCentredTransform:
         q = QuantParams(alpha)
         closed = evaluate(berezin_transform_closed(symbol, q), z)
         value = berezin_transform_numeric(symbol, z, q, order=80)
-        assert value.real == pytest.approx(closed, rel=1e-12)
+        assert value.real == pytest.approx(closed, rel=1e-12, abs=0.0)
         assert value.imag == 0.0
 
     def test_generic_callable_matches_symbol_off_centre(self):
@@ -335,6 +337,15 @@ class TestCentredTransform:
         generic = lambda w: np.exp(-np.real(w) ** 2)  # noqa: E731
         first = berezin_transform_numeric(generic, 0.3 + 0.1j, q, order=60)
         assert berezin_transform_numeric(generic, 0.3 + 0.1j, q, order=60) == first
+        # an n = 2 callable sums a four-axis grid slab by slab: the same bits in two processes
+        probe = (
+            "import numpy as np; from berezin import QuantParams, berezin_transform_numeric as t; "
+            "v = t(lambda w1, w2: np.exp(-np.real(w1) ** 2 - np.abs(w2) ** 2), (0.3 + 0.1j, -0.2j), "
+            "QuantParams(1.5), order=24); print(v.real.hex(), v.imag.hex())"
+        )
+        runs = [subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True) for _ in range(2)]
+        assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
 
 
 class TestMonteCarlo:
@@ -448,10 +459,30 @@ class TestMonteCarlo:
         # sigma = 7.2e126, so every sample's exponent is about -1e46 and the mean
         # of the positive symbol is 0, against a closed value of 6.7e-107
         g, q, z = GaussianSymbol(2, 1.7369e-60, 2.4972e-207), QuantParams(9.59e-254), (1.71, 1.71)
-        assert evaluate(berezin_transform_closed(g, q), z) == pytest.approx(6.67021904533077e-107, rel=1e-12)
+        assert evaluate(berezin_transform_closed(g, q), z) == pytest.approx(6.67021904533077e-107, rel=1e-12, abs=0.0)
         refused = "Monte-Carlo estimate underflows to 0 at amplitude=1.7369e-60, lambda=2.4972e-207, alpha=9.59e-254"
         with pytest.raises(NumericContractError, match="^" + re.escape(refused) + "$"):
             monte_carlo_transform(g, z, q, MonteCarloConfig(samples=1000, seed=0))
+
+    @pytest.mark.parametrize("compression", [1e10, 1e11])
+    def test_estimate_carried_by_one_sample_is_refused(self, compression):
+        # sigma = 0.71 against a symbol of width 1e-5: one sample carries the mean,
+        # 9.7e-7 +- 9.7e-7 at lambda = 1e10 and 7.4e-16 +- 7.4e-16 at 1e11, billions
+        # of standard errors from the closed value 1/sqrt(1 + lambda)
+        g, q = GaussianSymbol(1, 1.0, compression), QuantParams(1.0)
+        assert evaluate(berezin_transform_closed(g, q), 0j) == pytest.approx(1.0 / math.sqrt(1.0 + compression))
+        refused = (
+            f"Monte-Carlo estimate has effective sample size 1 (below 100) at "
+            f"amplitude=1.0, lambda={compression!r}, alpha=1.0"
+        )
+        with pytest.raises(NumericContractError, match="^" + re.escape(refused) + "$"):
+            monte_carlo_transform(g, 0j, q, MonteCarloConfig(samples=100_000, seed=0))
+
+    def test_narrow_symbol_on_enough_samples_is_estimated(self):
+        # lambda = 1e6 leaves about 144 effective samples, above the floor of 100
+        g, q = GaussianSymbol(1, 1.0, 1e6), QuantParams(1.0)
+        estimate, stderr = monte_carlo_transform(g, 0j, q, MonteCarloConfig(samples=100_000, seed=0))
+        assert abs(estimate - evaluate(berezin_transform_closed(g, q), 0j)) <= 4.0 * stderr
 
     def test_zero_callable_estimate_is_zero(self):
         cfg = MonteCarloConfig(samples=1000, seed=0)
@@ -470,21 +501,3 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 18446744073709551615\]"):
             MonteCarloConfig(samples=1000, seed=2**64)
 
-
-class TestTreeSum:
-    def test_matches_fsum(self):
-        rng = np.random.default_rng(3)
-        for size in (1, 2, 7, 100, 1023):
-            values = rng.uniform(-1, 1, size=size)
-            assert tree_sum(values) == pytest.approx(math.fsum(values), rel=1e-13, abs=1e-15)
-
-    def test_deterministic(self):
-        values = np.random.default_rng(0).normal(size=10_001)
-        assert tree_sum(values) == tree_sum(values)
-
-    def test_empty(self):
-        assert tree_sum(np.array([])) == 0.0
-
-    def test_preserves_dtype(self):
-        assert isinstance(tree_sum(np.array([1.0, 2.0])), np.float64)
-        assert tree_sum(np.array([1.0 + 1j, 2.0 - 0.5j])) == 3.0 + 0.5j
