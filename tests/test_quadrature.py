@@ -1,5 +1,6 @@
 """Quadrature oracle: rule construction, tensor integration, transform, MC."""
 
+import functools
 import math
 import re
 import subprocess
@@ -199,6 +200,26 @@ class TestIntegrate:
     def test_complex_integrand(self):
         value = integrate(lambda x: np.exp(1j * x), [gauss_hermite(30)])
         assert complex(value) == pytest.approx(SQRT_PI * math.exp(-0.25), rel=1e-13)
+
+    def test_complex_slab_sums(self):
+        # d = 3 sums complex slabs and their total: both parts survive the reduction
+        value = integrate(lambda x, y, z: np.exp(1j * (x + y + z)), [gauss_hermite(30)] * 3)
+        assert isinstance(value, complex)
+        assert value == pytest.approx((SQRT_PI * math.exp(-0.25)) ** 3, rel=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_sum_matches_fsum(self, d):
+        # a signed, oscillating integrand: the weighted sum is within O(eps log n)
+        # of the correctly rounded sum of the same terms, relative to their magnitude
+        def wiggle(*xs):
+            return np.cos(sum((7.0 + 3.0 * i) * x + x * x for i, x in enumerate(xs)))
+
+        rules = [gauss_hermite(9 + k) for k in range(d)]
+        grids = np.meshgrid(*[rule.nodes for rule in rules], indexing="ij")
+        weights = functools.reduce(np.multiply.outer, [rule.weights for rule in rules])
+        terms = (weights * wiggle(*grids)).ravel()
+        exact = math.fsum(terms)
+        assert abs(integrate(wiggle, rules) - exact) <= 1e-14 * math.fsum(np.abs(terms))
 
 
 class TestTransformNumeric:
