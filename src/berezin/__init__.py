@@ -41,7 +41,6 @@ _EXPORTS = {
     ),
     "bergman_space": (
         "TraceReport",
-        "WeightSpec",
         "kernel",
         "purity_index",
         "reproducing_residual",

@@ -29,7 +29,6 @@ from .gaussian_calculus import (
     PointLike,
     QuantParams,
     _half_power,
-    _integer,
     _real,
     as_point,
     berezin_transform_closed,
@@ -39,31 +38,13 @@ from .semiclassics import PolynomialSymbol
 
 __all__ = [
     "TraceReport",
-    "WeightSpec",
     "kernel",
     "purity_index",
     "reproducing_residual",
     "trace",
     "trace_numeric",
     "weight",
-    "weight_mass_numeric",
 ]
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Dimension and quantum parameter of the Gaussian weight rho."""
-
-    dim: int
-    alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "dim", _integer("dim", self.dim, 1))
-        object.__setattr__(self, "alpha", _real("alpha", self.alpha))
-
-    @property
-    def quant(self) -> QuantParams:
-        return QuantParams(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -99,11 +80,6 @@ def weight(z: PointLike, q: QuantParams) -> float:
     point = as_point(z)
     sq = sum(c.real * c.real + c.imag * c.imag for c in point.coords)
     return (q.alpha / math.pi) ** point.dim * math.exp(-q.alpha * sq)
-
-
-def weight_mass_numeric(spec: WeightSpec, order: int = 80) -> float:
-    """Quadrature check of the weight's total mass (should be 1): the trace of 1."""
-    return trace_numeric(GaussianSymbol(spec.dim), spec.quant, order)
 
 
 def trace(g: GaussianSymbol, q: QuantParams) -> float:

@@ -16,7 +16,7 @@ for the closed uncertainty ratio and 1e-8 for its quadrature ratio.
 The `verify` record intentionally omits the timestamp so that two identical
 invocations produce byte-identical JSON; all other commands include an
 ISO-8601 UTC timestamp (their determinism contract covers the `results`
-field).  The BEREZIN_SEED environment variable supplies the default seed.
+field).  `verify --seed` defaults to 0.
 
 Start-up loads only the standard library and the closed forms of
 `gaussian_calculus`: each command imports the layers (and numpy) it computes
@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -124,13 +123,6 @@ def parse_grid(text: str) -> list[float]:
         fn = np.logspace if kind == "logspace" else np.linspace
         return [float(v) for v in fn(float(start), float(stop), count)]
     return [float(v) for v in text.split(",")]  # '' is one empty item, which float refuses
-
-
-def _default_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("BEREZIN_SEED")
-    return int(env) if env else 0
 
 
 # -- commands -----------------------------------------------------------------
@@ -286,8 +278,7 @@ _SUITES = ("theorem1", "trace", "expansion", "star", "uncertainty", "spectrum", 
 def cmd_verify(args) -> tuple[RunRecord, list]:
     from . import verify
 
-    seed = _default_seed(args)
-    checks = verify.run_suites(args.suite, seed=seed)
+    checks = verify.run_suites(args.suite, seed=args.seed)
     all_passed = all(c.passed for c in checks)
     width = max(len(c.name) for c in checks)
     sys.stderr.write(f"{'suite':<12} {'check':<{width}} {'status':<6} value / bound\n")
@@ -304,7 +295,7 @@ def cmd_verify(args) -> tuple[RunRecord, list]:
             "failed": sum(1 for c in checks if not c.passed),
             "all_passed": all_passed,
         },
-        seed=seed,
+        seed=args.seed,
         timestamp=None,  # byte-identical output for identical invocations
     ), checks
 
@@ -354,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the oracle-equivalence suites")
     p_verify.add_argument("--suite", choices=_SUITES + ("all",), default="all")
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help="seed for randomized checks (default: BEREZIN_SEED or 0)")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p_verify.set_defaults(handler=cmd_verify)
     return parser
 

@@ -306,20 +306,19 @@ class UncertaintyReport:
         return self.var_p / self.norm_sq
 
 
-def _report(lam: float, amplitude: float, *, zero_variance: bool = False, **moments: float) -> UncertaintyReport:
-    # each moment is finite in exact arithmetic, and rhs and norm_sq, which
-    # divide the ratio and the normalized variances, are positive; a double
-    # that overflows, a sub-normal with only a few significant bits, or a
-    # divisor at 0 cannot stand for them (a variance of 0 stands only where
-    # the caller's rule gives it exactly: the order-1 rule has its only node
-    # at 0; elsewhere it is a positive variance that underflowed)
+def _report(lam: float, amplitude: float, **moments: float) -> UncertaintyReport:
+    # each moment is positive and finite in exact arithmetic, and rhs and
+    # norm_sq divide the ratio and the normalized variances; a double that
+    # overflows, a sub-normal with only a few significant bits, or a 0 that
+    # a positive moment underflowed to cannot stand for them
     for name, value in moments.items():
-        zero_allowed = zero_variance and name in ("var_x", "var_p")
-        if not (sys.float_info.min <= value < math.inf or (value == 0.0 and zero_allowed)):
+        if not sys.float_info.min <= value < math.inf:
             raise NumericContractError(
                 f"{name} = {value!r} is out of the double range at lambda={lam!r}, K={amplitude!r}"
             )
-    ratio = moments["var_x"] * moments["var_p"] / moments["rhs"]
+    # var_x * var_p may overflow where the ratio, near 1, does not; var_x / rhs
+    # is 1/var_p to round-off, in range for a normal var_p
+    ratio = moments["var_x"] / moments["rhs"] * moments["var_p"]
     return UncertaintyReport(lam=lam, amplitude=amplitude, ratio=ratio, **moments)
 
 
@@ -346,8 +345,8 @@ def uncertainty_report(lam: float, amplitude: float = 1.0) -> UncertaintyReport:
     )
 
 
-def uncertainty_quadrature(lam: float, amplitude: float = 1.0, order: int = 80) -> UncertaintyReport:
-    """Recompute the uncertainty moments by Gauss-Hermite quadrature.
+def uncertainty_quadrature(lam: float, amplitude: float = 1.0) -> UncertaintyReport:
+    """Recompute the uncertainty moments by the order-80 Gauss-Hermite rule.
 
     Integrates x^2 psi^2, (d psi/dx)^2 (analytic derivative), and psi^2
     directly; an independent route to the closed forms.
@@ -355,13 +354,11 @@ def uncertainty_quadrature(lam: float, amplitude: float = 1.0, order: int = 80) 
     lam, amplitude = _real("lambda", lam), _real("K", amplitude)
     k2 = amplitude * amplitude
     a = lam / (1.0 + lam)
-    rules = [gauss_hermite(order)]
+    rules = [gauss_hermite(80)]
     second_moment = float(integrate(lambda u: u * u, rules, scale=a))
     mass = float(integrate(lambda u: np.ones_like(u), rules, scale=a))
     var_x = k2 * second_moment
     # a * a is sub-normal below lambda ~ 1e-154, and k2 * a below K^2 * lambda ~ 1e-308
     var_p = k2 * (a * (a * second_moment))
     half = 0.5 * k2 * mass  # (k2 * mass)**2 may overflow where rhs = half**2 does not
-    return _report(
-        lam, amplitude, zero_variance=second_moment == 0.0, var_x=var_x, var_p=var_p, rhs=half * half, norm_sq=k2 * mass
-    )
+    return _report(lam, amplitude, var_x=var_x, var_p=var_p, rhs=half * half, norm_sq=k2 * mass)

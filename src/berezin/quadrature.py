@@ -165,17 +165,6 @@ def _build_rule(order: int) -> QuadratureRule1D:
     return QuadratureRule1D(nodes, weights, order)
 
 
-def _normalize_scales(scale, d: int) -> tuple:
-    """One positive finite float per axis, from one number or d numbers."""
-    try:
-        scales = tuple(scale)
-    except TypeError:
-        scales = (scale,) * d
-    if len(scales) != d:
-        raise ValueError(f"scale must be one number or a sequence of {d}, got {scale!r}")
-    return tuple(_real("scale", s) for s in scales)
-
-
 def _check_finite(vals: np.ndarray, axes, head: tuple = ()) -> None:
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -184,13 +173,13 @@ def _check_finite(vals: np.ndarray, axes, head: tuple = ()) -> None:
         raise NumericContractError(f"integrand is non-finite at node {node}")
 
 
-def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale=1.0):
-    """Tensor quadrature of  int fn(x) * prod_i exp(-scale_i * x_i^2) dx  on R^d.
+def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale: float = 1.0):
+    """Tensor quadrature of  int fn(x) * exp(-scale * |x|^2) dx  on R^d.
 
     `fn` must accept d broadcastable coordinate arrays and evaluate
     vectorized.  The Gaussian factor is handled analytically by node
     scaling; d <= 4.  Non-finite integrand values raise, naming the node, and
-    a weighted sum beyond the double range raises, naming it and the scales.
+    a weighted sum beyond the double range raises, naming it and the scale.
     One loop evaluates, checks and sums slabs: a d <= 2 grid is one slab of
     weight 1, a d in {3, 4} grid one slab per node of its first axis (with
     that node's weight), which bounds memory to m^(d-1) values.  Slabs and
@@ -200,9 +189,9 @@ def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale=1.0):
     d = len(rules)
     if not 1 <= d <= MAX_TENSOR_DIM:
         raise ValueError(f"tensor integration supports 1 <= d <= {MAX_TENSOR_DIM}, got {d}")
-    scales = _normalize_scales(scale, d)
-    axes = [rule.nodes / math.sqrt(s) for rule, s in zip(rules, scales)]
-    norm = math.prod(1.0 / math.sqrt(s) for s in scales)
+    scale = _real("scale", scale)
+    axes = [rule.nodes / math.sqrt(scale) for rule in rules]
+    norm = math.prod([1.0 / math.sqrt(scale)] * d)
     if d <= 2:
         heads, head_weights, first = [()], [1.0], 0
     else:
@@ -220,7 +209,7 @@ def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale=1.0):
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.sum(sums) * norm
     if not np.isfinite(total):
-        raise NumericContractError(f"weighted sum {total} is not finite at scales {scales}")
+        raise NumericContractError(f"weighted sum {total} is not finite at scale {scale}")
     return total
 
 
@@ -303,14 +292,15 @@ def monte_carlo_transform(
     offsets *= sigma
     if isinstance(f, GaussianSymbol):
         rows = offsets[0]
-        rows += np.array([[c.real] for c in point.coords])
-        np.square(rows, out=rows)
-        values = rows[0]
-        for row in rows[1:]:
-            values += row
-        values *= -f.compression
-        np.exp(values, out=values)
-        values *= f.amplitude
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below, by name
+            rows += np.array([[c.real] for c in point.coords])
+            np.square(rows, out=rows)
+            values = rows[0]
+            for row in rows[1:]:
+                values += row
+            values *= -f.compression
+            np.exp(values, out=values)
+            values *= f.amplitude
     else:
         values = np.asarray(f(*(c + offsets[0, j] + 1j * offsets[1, j] for j, c in enumerate(point.coords))))
     if not np.all(np.isfinite(values)):

@@ -13,7 +13,6 @@ from berezin import (
     PolynomialSymbol,
     QuantParams,
     TraceReport,
-    WeightSpec,
     berezin_transform_numeric,
     gauss_hermite,
     kernel,
@@ -23,7 +22,7 @@ from berezin import (
     trace_numeric,
     weight,
 )
-from berezin.bergman_space import purity_raw_numeric, weight_mass_numeric
+from berezin.bergman_space import purity_raw_numeric
 from berezin.gaussian_calculus import NumericContractError
 
 
@@ -71,7 +70,7 @@ class TestWeight:
 
     @pytest.mark.parametrize("dim,alpha", [(1, 2.0), (1, 0.5), (2, 1.0), (3, 0.7)])
     def test_total_mass(self, dim, alpha):
-        mass = weight_mass_numeric(WeightSpec(dim=dim, alpha=alpha), order=60)
+        mass = trace_numeric(GaussianSymbol(dim), QuantParams(alpha), order=60)
         assert mass == pytest.approx(1.0, abs=1e-12)
 
 

@@ -409,6 +409,15 @@ class TestUncertaintyCommand:
         assert abs(results["ratio"] - 1.0) <= 1e-15
         assert abs(results["ratio_quadrature"] - 1.0) <= 1e-15
 
+    def test_product_of_variances_beyond_the_range_passes(self, capsys):
+        # var_x * var_p overflowed before the division by rhs = 1.8e308 (exit 2, naming no flag)
+        argv = ["uncertainty", "--lambda", "2.016698894383496", "--K", "1.1122020562173477e+77"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        results = record_of(out)["results"]
+        assert abs(results["ratio"] - 1.0) <= 1e-15
+        assert abs(results["ratio_quadrature"] - 1.0) <= 1e-15
+
     def test_squared_norm_near_the_top_of_the_range_passes(self, capsys):
         # (K^2 * mass)**2 = 6.9e308 raised OverflowError (exit 4); rhs = (K^2 * mass / 2)**2 is 1.7e308
         argv = ["uncertainty", "--lambda", "1.681362160722755e+36", "--K", "1.2171859718419323e+77"]
@@ -563,16 +572,10 @@ class TestVerifyCommand:
         monkeypatch.setattr(quadrature, "berezin_transform_numeric", lambda g, z, q: gaussian_calculus.evaluate(g, z))
         assert not verify.run_suites("expansion")[0].passed
 
-    def test_env_seed_default(self):
-        env = dict(os.environ, BEREZIN_SEED="123")
-        out = subprocess.run(
-            [sys.executable, "-m", "berezin", "verify", "--suite", "expansion"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert json.loads(out.stdout)["seed"] == 123
+    def test_seed_defaults_to_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "star")
+        assert code == 0
+        assert record_of(out)["seed"] == 0
 
     def test_negative_seed_is_refused_by_name(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "star", "--seed", "-1")

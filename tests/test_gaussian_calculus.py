@@ -20,7 +20,6 @@ from berezin import (
     OscillatorSpec,
     PolynomialSymbol,
     QuantParams,
-    WeightSpec,
     berezin_transform_closed,
     commutator_residual,
     eigenstate_residual,
@@ -285,7 +284,6 @@ INTEGER_PARAMETERS = {
     "OscillatorSpec.dim": (2, lambda k: OscillatorSpec(dim=k).dim),
     "GridSpec.points": (500, lambda k: GridSpec(6.0, k).points),
     "spectrum.levels": (2, lambda k: spectrum(OscillatorSpec(), GridSpec(6.0, 500), k).size),
-    "WeightSpec.dim": (2, lambda k: WeightSpec(dim=k, alpha=1.0).dim),
     "PolynomialSymbol.dim": (2, lambda k: PolynomialSymbol(k, ()).dim),
     "PolynomialSymbol.constant": (2, lambda k: PolynomialSymbol.constant(k, 1.0).dim),
     "gaussian_moment.k": (2, lambda k: gaussian_moment(k, 1.0)),
@@ -322,7 +320,6 @@ REAL_PARAMETERS = {
     "QuantParams.alpha": (2.0, lambda x: QuantParams(x).alpha, "alpha", False),
     "GaussianSymbol.amplitude": (2.0, lambda x: GaussianSymbol(1, x).amplitude, "amplitude", False),
     "GaussianSymbol.compression": (0.5, lambda x: GaussianSymbol(1, 1.0, x).compression, "compression", True),
-    "WeightSpec.alpha": (2.0, lambda x: WeightSpec(1, x).alpha, "alpha", False),
     "OscillatorSpec.h": (0.5, lambda x: OscillatorSpec(h=x).h, "h", False),
     "GridSpec.half_width": (6.0, lambda x: GridSpec(x, 500).half_width, "half_width", False),
     "purity_index.lam": (0.5, lambda x: purity_index(x, QuantParams(1.0)).lam, "lambda", False),

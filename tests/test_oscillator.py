@@ -1,7 +1,9 @@
 """Oscillator spectrum, ladder/commutator identities, uncertainty equality."""
 
 import math
+import random
 import re
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -18,6 +20,7 @@ from berezin import (
     spectrum,
     uncertainty_quadrature,
     uncertainty_report,
+    verify,
 )
 from berezin.quadrature import NumericContractError
 
@@ -238,7 +241,7 @@ class TestUncertainty:
     def test_equality_for_all_parameters(self, lam, amplitude):
         report = uncertainty_report(lam, amplitude)
         assert abs(report.ratio - 1.0) <= 1e-12
-        numeric = uncertainty_quadrature(lam, amplitude, order=80)
+        numeric = uncertainty_quadrature(lam, amplitude)
         assert abs(numeric.ratio - 1.0) <= 1e-8
         assert numeric.var_x == pytest.approx(report.var_x, rel=1e-9)
         assert numeric.var_p == pytest.approx(report.var_p, rel=1e-9)
@@ -294,7 +297,7 @@ class TestUncertainty:
             (uncertainty_quadrature, 1.0, 1e-80, "rhs = 1.5706e-320"),
             (uncertainty_report, 1e-200, 1e-105, "var_p = 8.8622692545277e-311"),  # K^2 * sqrt(lam) is sub-normal
             (uncertainty_quadrature, 1e-200, 1e-105, "var_p = 8.8622692545277e-311"),
-            # var_p (8.9e-331, 8.9e-327) rounds to exactly 0, which only the order-1 rule gives genuinely
+            # var_p (8.9e-331, 8.9e-327) rounds to exactly 0
             (uncertainty_quadrature, 1e-200, 1e-115, "var_p = 0.0"),
             (uncertainty_report, 1e-300, 1e-88, "var_p = 0.0"),
         ],
@@ -336,6 +339,34 @@ class TestUncertainty:
         assert numeric.var_p == pytest.approx(closed.var_p, rel=1e-15, abs=0.0)
         assert numeric.var_x == pytest.approx(closed.var_x, rel=1e-15)
 
+    def test_product_of_variances_beyond_the_range_keeps_the_ratio(self):
+        # rhs is 5 ulps below the largest double, and var_x * var_p overflowed
+        # before the division by rhs, so the ratio read inf
+        closed = uncertainty_report(2.016698894383496, 1.1122020562173477e77)
+        numeric = uncertainty_quadrature(2.016698894383496, 1.1122020562173477e77)
+        assert closed.rhs == 1.7976931348623147e308
+        assert abs(closed.ratio - 1.0) <= 1e-15
+        assert abs(numeric.ratio - 1.0) <= 1e-15
+
+    def test_rhs_at_the_top_of_the_range_agrees_or_refuses(self):
+        # K a few ulps either side of the largest K whose rhs = K^4 pi r / 4 is finite
+        rng = random.Random(0)
+        passed = 0
+        for _ in range(2000):
+            lam = 10.0 ** rng.uniform(-3.0, 3.0)
+            amplitude = (4.0 * lam / (math.pi * (1.0 + lam))) ** 0.25 * sys.float_info.max**0.25
+            steps = rng.randint(-8, 2)
+            for _ in range(abs(steps)):
+                amplitude = math.nextafter(amplitude, math.copysign(math.inf, steps))
+            try:
+                checks = verify.uncertainty_checks(lam, amplitude)[-1]
+            except NumericContractError as exc:
+                assert "is out of the double range" in str(exc)
+                continue
+            assert all(check.passed for check in checks), (lam, amplitude)
+            passed += 1
+        assert passed > 1000
+
     def test_tiny_compression_and_amplitude_keep_var_p(self):
         # K^2 * a = 8.4e-334 underflowed to 0, so var_p read 0 and the ratio 0
         closed = uncertainty_report(5.474803068585877e-187, 1.2353896420602611e-73)
@@ -343,8 +374,3 @@ class TestUncertainty:
         assert numeric.var_p == pytest.approx(closed.var_p, rel=1e-15, abs=0.0)
         assert abs(numeric.ratio - 1.0) <= 1e-15
 
-    def test_one_node_rule_reports_failed_ratio(self):
-        # the order-1 rule has its only node at 0, so both second moments vanish
-        report = uncertainty_quadrature(1.0, 1.0, order=1)
-        assert report.var_x == report.var_p == report.ratio == 0.0
-        assert report.rhs > 0.0
