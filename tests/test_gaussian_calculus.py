@@ -27,12 +27,14 @@ from berezin import (
     gauss_hermite,
     gaussian_moment,
     heat_evolve,
+    integrate,
     ladder_identity_residual,
     odd_moment_vanishes,
     purity_index,
     scaled,
     spectrum,
     taylor_remainder,
+    trace_numeric,
     transform_compose,
     uncertainty_quadrature,
     uncertainty_report,
@@ -287,6 +289,7 @@ INTEGER_PARAMETERS = {
     "PolynomialSymbol.dim": (2, lambda k: PolynomialSymbol(k, ()).dim),
     "PolynomialSymbol.constant": (2, lambda k: PolynomialSymbol.constant(k, 1.0).dim),
     "gaussian_moment.k": (2, lambda k: gaussian_moment(k, 1.0)),
+    "trace_numeric.order": (20, lambda k: trace_numeric(GaussianSymbol(1), QuantParams(1.0), k)),
 }
 
 
@@ -324,6 +327,7 @@ REAL_PARAMETERS = {
     "GridSpec.half_width": (6.0, lambda x: GridSpec(x, 500).half_width, "half_width", False),
     "purity_index.lam": (0.5, lambda x: purity_index(x, QuantParams(1.0)).lam, "lambda", False),
     "gaussian_moment.a": (2.0, lambda x: gaussian_moment(2, x), "a", False),
+    "integrate.scale": (2.0, lambda x: float(integrate(_gaussian, [gauss_hermite(8)], x)), "scale", False),
     "uncertainty_report.lam": (0.5, lambda x: uncertainty_report(x).lam, "lambda", False),
     "uncertainty_report.amplitude": (2.0, lambda x: uncertainty_report(1.0, x).amplitude, "K", False),
     "uncertainty_quadrature.lam": (0.5, lambda x: uncertainty_quadrature(x).lam, "lambda", False),
