@@ -24,8 +24,6 @@ _EXPORTS = {
         "evaluate",
         "gaussian_moment",
         "heat_evolve",
-        "odd_moment_vanishes",
-        "scaled",
         "taylor_remainder",
         "transform_compose",
     ),

@@ -162,5 +162,5 @@ def reproducing_residual(
         phase = sum(alpha * zc * np.conj(wc) for zc, wc in zip(point.coords, w))
         return p.eval_many(w) * np.exp(phase)
 
-    total = integrate(integrand, [rule] * (2 * n), scale=alpha) * (alpha / math.pi) ** n
+    total = integrate(integrand, rule, 2 * n, scale=alpha) * (alpha / math.pi) ** n
     return abs(total - p.eval_point(point))

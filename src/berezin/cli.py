@@ -84,17 +84,6 @@ class RunRecord:
             names = ", ".join(f"{key} = {float(value)!r}" for key, value in bad)
             raise NumericContractError(f"run record is not finite: {names}") from exc
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunRecord":
-        return cls(
-            command=data["command"],
-            parameters=data["parameters"],
-            results=data["results"],
-            seed=data["seed"],
-            tool_version=data["tool_version"],
-            timestamp=data.get("timestamp"),
-        )
-
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
@@ -224,15 +213,15 @@ def _sweep_value(quantity: str, n: int, lam: float, alpha: float) -> float:
 
 
 def cmd_sweep(args) -> tuple[RunRecord, list]:
-    lambdas = parse_grid(args.lambdas) if args.lambdas else [args.lam]
-    alphas = parse_grid(args.alphas) if args.alphas else [args.alpha]
+    lambdas = parse_grid(args.lambdas)
+    alphas = parse_grid(args.alphas)
     # the library validates every grid value; rows are complete before the CSV opens
     results: dict = {}
     rows: list[list] = []
     header = ["lambda", "alpha", "n", args.quantity]
     if args.quantity == "expansion_residual":
         # one residual row per alpha; the slope goes into the record
-        if len(alphas) < 3:  # refused by the quantity asked for: the default --alpha is a single value
+        if len(alphas) < 3:  # refused by the quantity asked for: the default --alpha grid is a single value
             raise ValueError(f"quantity expansion_residual must be swept over at least three alpha values "
                              f"(--alphas), got {len(alphas)}")
         from . import semiclassics
@@ -261,8 +250,8 @@ def cmd_sweep(args) -> tuple[RunRecord, list]:
         parameters={
             "quantity": args.quantity,
             "n": args.n,
-            "lambdas": args.lambdas or repr(args.lam),
-            "alphas": args.alphas or repr(args.alpha),
+            "lambdas": args.lambdas,
+            "alphas": args.alphas,
             "out": args.out,
         },
         results=results,
@@ -336,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="tabulate a quantity over parameter grids (CSV)")
     p_sweep.add_argument("--quantity", choices=_SWEEP_QUANTITIES, required=True)
     p_sweep.add_argument("--n", type=int, default=1)
-    p_sweep.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_sweep.add_argument("--alpha", type=float, default=1.0)
-    p_sweep.add_argument("--lambdas", default=None, help="grid: '0.5,1,2' or 'logspace:a:b:num'")
-    p_sweep.add_argument("--alphas", default=None, help="grid: '1,10' or 'logspace:0:6:13'")
+    # one grid option per axis, two spellings each; a single value is a one-point grid
+    p_sweep.add_argument("--lambda", "--lambdas", dest="lambdas", default="1.0",
+                         help="grid: '0.5,1,2' or 'logspace:a:b:num'")
+    p_sweep.add_argument("--alpha", "--alphas", dest="alphas", default="1.0", help="grid: '1,10' or 'logspace:0:6:13'")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
     p_sweep.set_defaults(handler=cmd_sweep)
 

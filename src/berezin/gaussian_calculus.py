@@ -32,8 +32,6 @@ __all__ = [
     "evaluate",
     "gaussian_moment",
     "heat_evolve",
-    "odd_moment_vanishes",
-    "scaled",
     "taylor_remainder",
     "transform_compose",
 ]
@@ -145,9 +143,6 @@ class GaussianSymbol:
         object.__setattr__(self, "amplitude", _real("amplitude", self.amplitude))
         object.__setattr__(self, "compression", _real("compression", self.compression, zero=True))
 
-    def __call__(self, z: PointLike) -> float:
-        return evaluate(self, z)
-
 
 def _real_square_sum(point: ComplexPoint) -> float:
     # sum_j (z_j + conj(z_j))^2 = sum_j (2*Re z_j)^2
@@ -170,11 +165,6 @@ def evaluate(g: GaussianSymbol, z: PointLike) -> float:
     """Evaluate the symbol at z; the result is real and positive."""
     point = as_point(z, g.dim)
     return g.amplitude * math.exp(-0.25 * g.compression * _real_square_sum(point))
-
-
-def scaled(g: GaussianSymbol, factor: float) -> GaussianSymbol:
-    """Multiply the amplitude by a positive factor."""
-    return GaussianSymbol(dim=g.dim, amplitude=g.amplitude * factor, compression=g.compression)
 
 
 def berezin_transform_closed(g: GaussianSymbol, q: QuantParams) -> GaussianSymbol:
@@ -246,23 +236,18 @@ def taylor_remainder(g: GaussianSymbol, q: QuantParams, z: PointLike) -> float:
 
 
 def gaussian_moment(k: int, a: float) -> float:
-    """integral of x^k * exp(-a*x^2) over the real line, for even k >= 0.
+    """integral of x^k * exp(-a*x^2) over the real line, for k >= 0.
 
-    Equals 1*3*5***(k-1) * sqrt(pi) / (2^(k/2) * a^((k+1)/2)); k = 0 gives
-    sqrt(pi/a).  Odd k raises (see `odd_moment_vanishes`).
+    For even k it equals 1*3*5***(k-1) * sqrt(pi) / (2^(k/2) * a^((k+1)/2));
+    k = 0 gives sqrt(pi/a).  Odd k gives exactly 0.0, by symmetry.
     """
     k = _integer("k", k, 0)
-    if k % 2:
-        raise ValueError(f"odd power k={k}: the moment vanishes by symmetry (use odd_moment_vanishes)")
     a = _real("a", a)
+    if k % 2:
+        return 0.0
     if k == 0:
         return math.sqrt(math.pi / a)
     double_factorial = 1.0
     for odd in range(1, k, 2):
         double_factorial *= odd
     return double_factorial * math.sqrt(math.pi) / (2.0 ** (k // 2) * a ** (k // 2) * math.sqrt(a))
-
-
-def odd_moment_vanishes(k: int) -> bool:
-    """True when x^k * exp(-a*x^2) integrates to zero by symmetry (odd k)."""
-    return bool(_integer("k", k, 0) % 2)

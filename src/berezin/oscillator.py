@@ -354,9 +354,9 @@ def uncertainty_quadrature(lam: float, amplitude: float = 1.0) -> UncertaintyRep
     lam, amplitude = _real("lambda", lam), _real("K", amplitude)
     k2 = amplitude * amplitude
     a = lam / (1.0 + lam)
-    rules = [gauss_hermite(80)]
-    second_moment = float(integrate(lambda u: u * u, rules, scale=a))
-    mass = float(integrate(lambda u: np.ones_like(u), rules, scale=a))
+    rule = gauss_hermite(80)
+    second_moment = float(integrate(lambda u: u * u, rule, 1, scale=a))
+    mass = float(integrate(lambda u: np.ones_like(u), rule, 1, scale=a))
     var_x = k2 * second_moment
     # a * a is sub-normal below lambda ~ 1e-154, and k2 * a below K^2 * lambda ~ 1e-308
     var_p = k2 * (a * (a * second_moment))

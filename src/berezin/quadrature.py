@@ -37,8 +37,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -165,7 +166,7 @@ def _build_rule(order: int) -> QuadratureRule1D:
     return QuadratureRule1D(nodes, weights, order)
 
 
-def _check_finite(vals: np.ndarray, axes, head: tuple = ()) -> None:
+def _check_finite(vals: np.ndarray, axes, head: tuple) -> None:
     bad = ~np.isfinite(vals)
     if np.any(bad):
         idx = np.unravel_index(int(np.flatnonzero(bad.ravel())[0]), vals.shape)
@@ -173,33 +174,31 @@ def _check_finite(vals: np.ndarray, axes, head: tuple = ()) -> None:
         raise NumericContractError(f"integrand is non-finite at node {node}")
 
 
-def integrate(fn: Callable, rules: Sequence[QuadratureRule1D], scale: float = 1.0):
+def integrate(fn: Callable, rule: QuadratureRule1D, d: int, scale: float = 1.0):
     """Tensor quadrature of  int fn(x) * exp(-scale * |x|^2) dx  on R^d.
 
-    `fn` must accept d broadcastable coordinate arrays and evaluate
-    vectorized.  The Gaussian factor is handled analytically by node
-    scaling; d <= 4.  Non-finite integrand values raise, naming the node, and
-    a weighted sum beyond the double range raises, naming it and the scale.
-    One loop evaluates, checks and sums slabs: a d <= 2 grid is one slab of
-    weight 1, a d in {3, 4} grid one slab per node of its first axis (with
-    that node's weight), which bounds memory to m^(d-1) values.  Slabs and
-    their total are summed by numpy's fixed-order pairwise reduction.
+    The one rule sits on every one of the d axes.  `fn` must accept d
+    broadcastable coordinate arrays and evaluate vectorized.  The Gaussian
+    factor is handled analytically by node scaling; d <= 4.  Non-finite
+    integrand values raise, naming the node, and a weighted sum beyond the
+    double range raises, naming it and the scale.  One loop evaluates,
+    checks and sums slabs: a d <= 2 grid is one slab of weight 1, a d in
+    {3, 4} grid one slab per node of its first axis (with that node's
+    weight), which bounds memory to m^(d-1) values.  Slabs and their total
+    are summed by numpy's fixed-order pairwise reduction.
     """
-    rules = list(rules)
-    d = len(rules)
-    if not 1 <= d <= MAX_TENSOR_DIM:
-        raise ValueError(f"tensor integration supports 1 <= d <= {MAX_TENSOR_DIM}, got {d}")
+    d = _integer("d", d, 1, MAX_TENSOR_DIM)
     scale = _real("scale", scale)
-    axes = [rule.nodes / math.sqrt(scale) for rule in rules]
+    axis = rule.nodes / math.sqrt(scale)
     norm = math.prod([1.0 / math.sqrt(scale)] * d)
     if d <= 2:
-        heads, head_weights, first = [()], [1.0], 0
+        heads, head_weights, slab_dim = [()], [1.0], d
     else:
-        heads, head_weights, first = [(x0,) for x0 in axes[0]], rules[0].weights, 1
-    slab_axes = axes[first:]
+        heads, head_weights, slab_dim = [(x0,) for x0 in axis], rule.weights, d - 1
+    slab_axes = [axis] * slab_dim
     grids = np.meshgrid(*slab_axes, indexing="ij", sparse=True)
-    shape = tuple(axis.size for axis in slab_axes)
-    slab_weights = functools.reduce(np.multiply.outer, [rule.weights for rule in rules[first:]])
+    shape = (rule.order,) * slab_dim
+    slab_weights = functools.reduce(np.multiply.outer, [rule.weights] * slab_dim)
     sums = []
     for head, head_weight in zip(heads, head_weights):
         vals = np.broadcast_to(np.asarray(fn(*head, *grids)), shape)
@@ -226,7 +225,9 @@ def berezin_transform_numeric(
 
         A * prod_j (1/pi) * (sum_k w_k exp(-lam*(x_j + s_k/sqrt(alpha))^2)) * (sum_k w_k),
 
-    2n sums of m terms, at any n.  A generic callable f receives n complex
+    2n sums of m terms, at any n; a square beyond the double range is capped
+    at the largest double, so lam = 0 gives exp(-0) = 1 and an overflowing
+    exponent a zero term.  A generic callable f receives n complex
     coordinate arrays, must evaluate vectorized, and is summed on the centred
     m^(2n) tensor grid; only callables are limited to n <= 2.  The order
     sets the accuracy: at lam/alpha = 4 (alpha = 0.5, z = 0, n = 1) an
@@ -243,9 +244,9 @@ def berezin_transform_numeric(
         mass = rule.weights.sum()
         value = f.amplitude
         for c in point.coords:
-            values = rule.weights * np.exp(-f.compression * (c.real + offsets) ** 2)
-            _check_finite(values, [offsets])
-            value *= values.sum() * mass / math.pi
+            with np.errstate(over="ignore"):  # an overflowing exponent is -inf, a zero term
+                exponent = -f.compression * np.minimum((c.real + offsets) ** 2, sys.float_info.max)
+            value *= (rule.weights * np.exp(exponent)).sum() * mass / math.pi
         return complex(value)
 
     if n > 2:
@@ -254,7 +255,7 @@ def berezin_transform_numeric(
     def centred(*st):
         return f(*(c + spread * (s + 1j * t) for c, s, t in zip(point.coords, st[:n], st[n:])))
 
-    return complex(integrate(centred, [rule] * (2 * n)) / math.pi**n)
+    return complex(integrate(centred, rule, 2 * n) / math.pi**n)
 
 
 def monte_carlo_transform(
@@ -277,12 +278,15 @@ def monte_carlo_transform(
     callable receives n complex arrays w_j = z_j + X[0, j] + i*X[1, j].  A
     GaussianSymbol reads only Re w, so it draws block 0 alone, (1, n, N),
     the same numbers as the full stream's prefix, and is evaluated in place
-    on its rows; a callable of the same symbol gets the same estimate.
-    A non-finite value raises, naming the sample (for a symbol, Re w drawn and Im w = Im z); so
-    does a mean or standard error that overflows, naming it (and a symbol's
-    amplitude).  A symbol's mean that underflows to 0, or that rests on
-    fewer than MIN_EFFECTIVE_SAMPLES effective samples (sum f)^2 / sum f^2,
-    raises, naming its amplitude, lambda and alpha.
+    on its rows at unit amplitude, with the exponent -lam * min(u^2, max
+    double) (an overflow is a zero sample); the mean and standard error are
+    then multiplied by the amplitude, so a symbol's values are always finite.
+    A callable's non-finite value raises, naming the sample; so does a mean
+    or standard error that overflows, naming it.  A symbol's mean that
+    underflows to 0, or that rests on fewer than MIN_EFFECTIVE_SAMPLES
+    effective samples (sum f)^2 / sum f^2 (taken from the unit values, as it
+    does not depend on the amplitude), raises, naming its amplitude, lambda
+    and alpha.
     """
     point = as_point(z, f.dim if isinstance(f, GaussianSymbol) else None)
     n = point.dim
@@ -292,43 +296,39 @@ def monte_carlo_transform(
     offsets *= sigma
     if isinstance(f, GaussianSymbol):
         rows = offsets[0]
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below, by name
+        with np.errstate(over="ignore"):  # an overflowing exponent is -inf, a zero sample
             rows += np.array([[c.real] for c in point.coords])
             np.square(rows, out=rows)
             values = rows[0]
             for row in rows[1:]:
                 values += row
+            np.minimum(values, sys.float_info.max, out=values)
             values *= -f.compression
-            np.exp(values, out=values)
-            values *= f.amplitude
+        np.exp(values, out=values)
     else:
         values = np.asarray(f(*(c + offsets[0, j] + 1j * offsets[1, j] for j, c in enumerate(point.coords))))
-    if not np.all(np.isfinite(values)):
-        raise NumericContractError(f"integrand is non-finite at sample {_sample(point, sigma, cfg, blocks, values)}")
+        bad = ~np.isfinite(np.ravel(values))
+        if np.any(bad):
+            shifts = offsets[:, :, int(np.flatnonzero(bad)[0])]
+            sample = tuple(c + complex(*shift) for c, shift in zip(point.coords, shifts.T))
+            raise NumericContractError(f"integrand is non-finite at sample {sample}")
     with np.errstate(over="ignore"):  # an overflowing sum is refused below, by name
         mean = np.mean(values)
         stderr = math.sqrt(float(np.sum(np.abs(values - mean) ** 2)) / (cfg.samples * (cfg.samples - 1)))
     if not (cmath.isfinite(mean) and math.isfinite(stderr)):
         what = f"estimate {complex(mean)!r}" if not cmath.isfinite(mean) else f"standard error {stderr!r}"
-        at = f" at amplitude={f.amplitude!r}" if isinstance(f, GaussianSymbol) else ""
-        raise NumericContractError(f"Monte-Carlo {what} is not finite{at}")
+        raise NumericContractError(f"Monte-Carlo {what} is not finite")
     if isinstance(f, GaussianSymbol):  # a positive symbol
+        unit_mean, unit_stderr = float(mean), stderr
+        mean, stderr = mean * f.amplitude, stderr * f.amplitude
         at = f"amplitude={f.amplitude!r}, lambda={f.compression!r}, alpha={q.alpha!r}"
-        if mean == 0.0:  # every sample underflowed
+        if mean == 0.0:  # every sample underflowed, or the scaled mean did
             raise NumericContractError(f"Monte-Carlo estimate underflows to 0 at {at}")
-        # (sum f)^2 / sum f^2 from the mean and standard error: 1 when one sample carries the sum
-        effective = cfg.samples / (1.0 + (cfg.samples - 1) * (stderr / float(mean)) ** 2)
+        # (sum f)^2 / sum f^2, which the amplitude leaves alone: 1 when one sample carries the sum
+        effective = cfg.samples / (1.0 + (cfg.samples - 1) * (unit_stderr / unit_mean) ** 2)
         if effective < MIN_EFFECTIVE_SAMPLES:
             raise NumericContractError(
                 f"Monte-Carlo estimate has effective sample size {effective:.3g} "
                 f"(below {MIN_EFFECTIVE_SAMPLES}) at {at}"
             )
     return complex(mean), stderr
-
-
-def _sample(point, sigma: float, cfg: MonteCarloConfig, blocks: int, values: np.ndarray) -> tuple:
-    """The first sample w at which `values` is non-finite, drawn again from
-    the seed (a symbol's rows were overwritten; with one block, Im w = Im z)."""
-    bad = int(np.flatnonzero(~np.isfinite(np.ravel(values)))[0])
-    shifts = sigma * np.random.default_rng(cfg.seed).standard_normal((blocks, point.dim, cfg.samples))[:, :, bad]
-    return tuple(c + complex(*shift) for c, shift in zip(point.coords, shifts.T))

@@ -28,8 +28,9 @@ The antisymmetrized first-order term satisfies
     C_1(f, g) - C_1(g, f) = (i/(2*pi)) * {f, g}
 
 where the bracket is normalized as {f, g} = kappa * sum_j (d_z f d_zbar g
-- d_zbar f d_z g) with kappa = 2*pi/i (BRACKET_NORMALIZATION); pass
-scale=1j for the conventional complex-coordinates bracket.  The bracket runs
+- d_zbar f d_z g) with kappa = 2*pi/i (BRACKET_NORMALIZATION); scaling
+`poisson_bracket` by 1j / BRACKET_NORMALIZATION gives the conventional
+complex-coordinates bracket.  The bracket runs
 on the same packed keys but is its own sum, axis by axis over derivative
 products, not the pair sum, so the residual of this identity compares two
 routes.  The residual itself is one pass on packed keys that builds no
@@ -121,11 +122,6 @@ class PolynomialSymbol:
         return self
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_terms(cls, dim: int, mapping: Mapping) -> "PolynomialSymbol":
-        """Build from {(beta, gamma): coeff}."""
-        return cls(dim, tuple((b, g, c) for (b, g), c in mapping.items()))
 
     @classmethod
     def constant(cls, dim: int, value: complex) -> "PolynomialSymbol":
@@ -422,18 +418,15 @@ def _bracket_sum(keys: _Keys) -> dict:
     return acc
 
 
-def poisson_bracket(
-    f: PolynomialSymbol,
-    g: PolynomialSymbol,
-    scale: complex = BRACKET_NORMALIZATION,
-) -> PolynomialSymbol:
-    """{f, g} = scale * sum_j (d_z f d_zbar g - d_zbar f d_z g).
+def poisson_bracket(f: PolynomialSymbol, g: PolynomialSymbol) -> PolynomialSymbol:
+    """{f, g} = kappa * sum_j (d_z f d_zbar g - d_zbar f d_z g).
 
-    The default scale kappa = 2*pi/i pairs with the first-order condition;
-    scale=1j recovers the conventional complex-coordinates bracket.
+    kappa = BRACKET_NORMALIZATION = 2*pi/i pairs with the first-order
+    condition; `.scaled(1j / BRACKET_NORMALIZATION)` of the result is the
+    conventional complex-coordinates bracket.
     """
     keys = _Keys(f, g)
-    return keys.symbol(_bracket_sum(keys)).scaled(scale)
+    return keys.symbol(_bracket_sum(keys)).scaled(BRACKET_NORMALIZATION)
 
 
 def quantization_condition_residual(f: PolynomialSymbol, g: PolynomialSymbol) -> float:

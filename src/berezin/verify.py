@@ -166,11 +166,8 @@ def _all_exponent_pairs(dim: int, degree: int) -> tuple:
 def _random_polynomial(rng: np.random.Generator, dim: int, degree: int = 3, terms: int = 4) -> PolynomialSymbol:
     pool = _all_exponent_pairs(dim, degree)
     chosen = rng.choice(len(pool), size=min(terms, len(pool)), replace=False)
-    mapping = {}
-    for index in chosen:
-        beta, gamma = pool[int(index)]
-        mapping[(beta, gamma)] = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-    poly = PolynomialSymbol.from_terms(dim, mapping)
+    poly = PolynomialSymbol(dim, tuple((*pool[int(i)], complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
+                                       for i in chosen))
     if poly.is_zero:
         poly = PolynomialSymbol.constant(dim, 1.0)
     return poly

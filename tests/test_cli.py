@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -223,16 +222,28 @@ class TestTransformCommand:
         assert results["closed_value_at_point"] == reference
         assert check.bound == 1e-9
 
-    def test_overflowing_rule_names_node(self, capsys):
-        # at alpha=1e-310 the rule nodes overflow; the error names one instead of emitting NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run_cli(
-                capsys,
-                "transform", "--n", "1", "--lambda", "0", "--alpha", "1e-310", "--numeric", "80",
-            )
-        assert code == 3
-        assert out == ""
-        assert "integrand is non-finite at node" in err
+    def test_overflowing_rule_nodes_are_zero_terms(self, capsys):
+        # at alpha=1e-310 the squared rule nodes overflow: at lambda = 0 each term
+        # is exp(-0) = 1 and the constant is recovered, not 0 * inf = NaN
+        code, out, err = run_cli(
+            capsys,
+            "transform", "--n", "1", "--lambda", "0", "--alpha", "1e-310", "--numeric", "80",
+        )
+        assert code == 0, err
+        assert record_of(out)["results"]["relative_deviation"] <= 1e-15
+
+    def test_overflowing_exponent_warns_nothing(self):
+        # at lambda = 1 the overflowing exponents are zero terms, so the order-80
+        # rule misses the symbol altogether and the check fails (exit 3), but no
+        # numpy warning is raised on the way, even when warnings are errors
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "berezin",
+             "transform", "--lambda", "1", "--alpha", "1e-310", "--numeric", "80"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "theorem1 check 'quadrature-match lam=1.0 alpha=1e-310' failed" in proc.stderr
 
     def test_underflowing_transformed_amplitude_is_contract_error(self, capsys):
         # alpha/(alpha + lambda) = 1e-600 is 0 as a double
@@ -261,7 +272,7 @@ class TestTransformCommand:
     def test_json_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "transform", "--n", "2", "--lambda", "0.5", "--alpha", "2")
         data = record_of(out)
-        record = RunRecord.from_dict(data)
+        record = RunRecord(**data)
         assert json.loads(record.to_json()) == data
 
     def test_non_finite_record_is_contract_error(self):
@@ -525,6 +536,26 @@ class TestSweepCommand:
         assert out == ""
         assert "normalized trace underflows to 0 at lambda=1e+308, alpha=1e-15, n=1" in err
 
+    def test_single_flag_takes_a_grid(self, capsys, tmp_path):
+        path = tmp_path / "width.csv"
+        code, out, _ = run_cli(capsys, "sweep", "--quantity", "lambda_prime",
+                               "--lambda", "0.5,2", "--out", str(path))
+        assert code == 0
+        assert record_of(out)["parameters"]["lambdas"] == "0.5,2"
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert [(float(r[0]), float(r[1])) for r in rows] == [(0.5, 1.0), (2.0, 1.0)]
+
+    def test_both_spellings_are_one_option(self, capsys, tmp_path):
+        tables = []
+        for flag in ("--alphas", "--alpha"):
+            path = tmp_path / f"{flag.strip('-')}.csv"
+            code, out, _ = run_cli(capsys, "sweep", "--quantity", "amplitude_prime", flag, "3", "--out", str(path))
+            assert code == 0
+            assert record_of(out)["parameters"]["alphas"] == "3"
+            tables.append(path.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
@@ -619,8 +650,9 @@ FLAG_OF = {
 
 def _command_argv(command: str, out: str):
     """A strategy of argv for one subcommand, read off its argparse actions:
-    each float, int or choice flag is drawn (an optional one may be left at
-    its default), `--out` is a file, and other text flags keep their default."""
+    each float, int or choice flag, and each sweep grid, is drawn (an
+    optional one may be left at its default), `--out` is a file, and other
+    text flags keep their default."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = []
     for action in sub.choices[command]._actions:
@@ -628,6 +660,8 @@ def _command_argv(command: str, out: str):
             values = st.sampled_from(list(action.choices))
         elif action.type in (float, int):
             values = REAL_TEXT if action.type is float else INTEGER_TEXT
+        elif action.dest in ("lambdas", "alphas"):  # one real is a one-point grid
+            values = REAL_TEXT
         elif action.dest == "out":
             values = st.just(out)
         else:

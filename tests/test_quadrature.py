@@ -20,6 +20,7 @@ from berezin import (
     gaussian_moment,
     integrate,
     monte_carlo_transform,
+    trace_numeric,
 )
 from berezin.quadrature import MAX_RULE_ORDER, RULE_CACHE_SIZE, NumericContractError, _build_rule
 
@@ -124,35 +125,35 @@ class TestGaussHermite:
 
 class TestIntegrate:
     def test_constant(self):
-        assert integrate(lambda x: np.ones_like(x), [gauss_hermite(10)]) == pytest.approx(SQRT_PI, rel=1e-14)
+        assert integrate(lambda x: np.ones_like(x), gauss_hermite(10), 1) == pytest.approx(SQRT_PI, rel=1e-14)
 
     def test_second_moment(self):
-        value = integrate(lambda x: x * x, [gauss_hermite(10)])
+        value = integrate(lambda x: x * x, gauss_hermite(10), 1)
         assert value == pytest.approx(SQRT_PI / 2, rel=1e-14)
 
     def test_two_dim_product(self):
-        value = integrate(lambda x, y: x * x * y * y, [gauss_hermite(12)] * 2)
+        value = integrate(lambda x, y: x * x * y * y, gauss_hermite(12), 2)
         assert value == pytest.approx(math.pi / 4, rel=1e-13)
 
     def test_scale(self):
-        value = integrate(lambda x: x * x, [gauss_hermite(20)], scale=2.0)
+        value = integrate(lambda x: x * x, gauss_hermite(20), 1, scale=2.0)
         assert value == pytest.approx(gaussian_moment(2, 2.0), rel=1e-13)
 
     def test_numpy_scales_accepted(self):
-        rules = [gauss_hermite(20)] * 2
-        expected = integrate(lambda x, y: x * x + y, rules, scale=2.0)
+        rule = gauss_hermite(20)
+        expected = integrate(lambda x, y: x * x + y, rule, 2, scale=2.0)
         for scale in (np.float64(2.0), np.float32(2.0), np.int64(2), 2):
-            assert integrate(lambda x, y: x * x + y, rules, scale=scale).hex() == expected.hex()
+            assert integrate(lambda x, y: x * x + y, rule, 2, scale=scale).hex() == expected.hex()
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, True, "2", None], ids=str)
     def test_scales_validated(self, scale):
         with pytest.raises(ValueError, match=re.escape(f"scale must be positive and finite, got {scale!r}")):
-            integrate(lambda x: x, [gauss_hermite(4)], scale=scale)
+            integrate(lambda x: x, gauss_hermite(4), 1, scale=scale)
 
     def test_overflowing_weighted_sum_refused(self):
         # every value is finite, the sum times 1/sqrt(scale) is not; no warning
         with pytest.raises(NumericContractError, match=re.escape("weighted sum inf is not finite at scale 0.0001")):
-            integrate(lambda x: np.full_like(x, 1e308), [gauss_hermite(20)], scale=1e-4)
+            integrate(lambda x: np.full_like(x, 1e308), gauss_hermite(20), 1, scale=1e-4)
 
     def test_overflowing_slab_sums_refused(self):
         # d = 3 sums one slab per node of the first axis; their total overflows
@@ -160,22 +161,26 @@ class TestIntegrate:
             return np.full(np.broadcast_shapes(x.shape, y.shape, z.shape), 1e308)
 
         with pytest.raises(NumericContractError, match=re.escape("is not finite at scale 1.0")):
-            integrate(huge, [gauss_hermite(6)] * 3)
+            integrate(huge, gauss_hermite(6), 3)
 
     def test_separable_equals_product(self):
-        rules = [gauss_hermite(16)] * 2
-        tensor = integrate(lambda x, y: x**2 * y**4, rules)
-        product = integrate(lambda x: x**2, rules[:1]) * integrate(lambda y: y**4, rules[:1])
+        rule = gauss_hermite(16)
+        tensor = integrate(lambda x, y: x**2 * y**4, rule, 2)
+        product = integrate(lambda x: x**2, rule, 1) * integrate(lambda y: y**4, rule, 1)
         assert tensor == pytest.approx(product, rel=1e-12)
 
     def test_four_dim_chunked(self):
-        rules = [gauss_hermite(8)] * 4
-        value = integrate(lambda a, b, c, d: a * a * np.ones_like(b + c + d), rules)
+        value = integrate(lambda a, b, c, d: a * a * np.ones_like(b + c + d), gauss_hermite(8), 4)
         assert value == pytest.approx(SQRT_PI**3 * SQRT_PI / 2, rel=1e-12)
 
     def test_dimension_cap(self):
-        with pytest.raises(ValueError, match="1 <= d <= 4"):
-            integrate(lambda *a: 1.0, [gauss_hermite(2)] * 5)
+        with pytest.raises(ValueError, match=re.escape("d must be an integer in [1, 4], got 5")):
+            integrate(lambda *a: 1.0, gauss_hermite(2), 5)
+
+    @pytest.mark.parametrize("d", [0, 2.0, True, "2"], ids=repr)
+    def test_dimension_validated(self, d):
+        with pytest.raises(ValueError, match=re.escape(f"d must be an integer in [1, 4], got {d!r}")):
+            integrate(lambda *a: 1.0, gauss_hermite(2), d)
 
     def test_non_finite_names_node(self):
         def bad(x):
@@ -183,15 +188,15 @@ class TestIntegrate:
                 return np.asarray(1.0 / x)
 
         with pytest.raises(ValueError, match="non-finite at node"):
-            integrate(bad, [gauss_hermite(3)])  # odd order has a node at 0
+            integrate(bad, gauss_hermite(3), 1)  # odd order has a node at 0
 
     def test_complex_integrand(self):
-        value = integrate(lambda x: np.exp(1j * x), [gauss_hermite(30)])
+        value = integrate(lambda x: np.exp(1j * x), gauss_hermite(30), 1)
         assert complex(value) == pytest.approx(SQRT_PI * math.exp(-0.25), rel=1e-13)
 
     def test_complex_slab_sums(self):
         # d = 3 sums complex slabs and their total: both parts survive the reduction
-        value = integrate(lambda x, y, z: np.exp(1j * (x + y + z)), [gauss_hermite(30)] * 3)
+        value = integrate(lambda x, y, z: np.exp(1j * (x + y + z)), gauss_hermite(30), 3)
         assert isinstance(value, complex)
         assert value == pytest.approx((SQRT_PI * math.exp(-0.25)) ** 3, rel=1e-13)
 
@@ -202,12 +207,12 @@ class TestIntegrate:
         def wiggle(*xs):
             return np.cos(sum((7.0 + 3.0 * i) * x + x * x for i, x in enumerate(xs)))
 
-        rules = [gauss_hermite(9 + k) for k in range(d)]
-        grids = np.meshgrid(*[rule.nodes for rule in rules], indexing="ij")
-        weights = functools.reduce(np.multiply.outer, [rule.weights for rule in rules])
+        rule = gauss_hermite(9 + d)
+        grids = np.meshgrid(*[rule.nodes] * d, indexing="ij")
+        weights = functools.reduce(np.multiply.outer, [rule.weights] * d)
         terms = (weights * wiggle(*grids)).ravel()
         exact = math.fsum(terms)
-        assert abs(integrate(wiggle, rules) - exact) <= 1e-14 * math.fsum(np.abs(terms))
+        assert abs(integrate(wiggle, rule, d) - exact) <= 1e-14 * math.fsum(np.abs(terms))
 
 
 class TestTransformNumeric:
@@ -275,11 +280,21 @@ class TestTransformNumeric:
         with pytest.raises(ValueError, match="dimension mismatch"):
             berezin_transform_numeric(GaussianSymbol(2, 1.0, 1.0), 0j, QuantParams(1.0))
 
-    def test_overflowing_nodes_raise(self):
-        # at alpha=1e-310 the rule spread 1/sqrt(alpha) squares to inf, and 0*inf is NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite at node"):
-                berezin_transform_numeric(GaussianSymbol(1, 1.0, 0.0), 0j, QuantParams(1e-310))
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("alpha", [1e-308, 1e-310])
+    def test_overflowing_nodes_keep_the_constant(self, alpha, n):
+        # the rule spread 1/sqrt(alpha) squares to inf; the exponent is -0 * max,
+        # not 0 * inf = NaN, so the constant comes back (warnings are errors here)
+        value = berezin_transform_numeric(GaussianSymbol(n, 1.0, 0.0), (0j,) * n, QuantParams(alpha))
+        assert value == pytest.approx(1.0, rel=1e-15)
+        assert trace_numeric(GaussianSymbol(n, 1.0, 0.0), QuantParams(alpha)) == pytest.approx(1.0, rel=1e-15)
+
+    def test_overflowing_exponent_is_a_zero_term(self):
+        # at alpha = 1e-320 the squared nodes overflow and so would lambda times
+        # them; both are formed under the same errstate, so no warning escapes.
+        # The rule then misses the symbol (under-resolution, no estimate yet).
+        value = berezin_transform_numeric(GaussianSymbol(1, 1.0, 2.0), 0j, QuantParams(1e-320))
+        assert value == 0j
 
 
 # (Re z, Im z, alpha, lam) per coordinate, for the brute-force comparison
@@ -385,7 +400,7 @@ class TestMonteCarlo:
             (GaussianSymbol(1, 1.0, 1.0), 0.4 - 0.3j, 2.0, 1000, 7,
              "((0.7602302661877455+0j), 0.007506696832493651)"),
             (GaussianSymbol(2, 1.5, 0.5), (0.3 + 0.2j, -0.6 + 0.1j), 1.0, 2000, 8,
-             "((0.8607724060262995+0j), 0.008997053049438996)"),
+             "((0.8607724060262995+0j), 0.008997053049438998)"),
             (GaussianSymbol(3, 0.5, 2.0), (0.1 + 0j, -0.2 + 0.5j, 0.7 - 0.4j), 3.0, 1500, 9,
              "((0.11916485359993972+0j), 0.00299802234647109)"),
             # the callable case pins the stream's Im block, sigma * standard_normal((2, n, N))[1]
@@ -401,14 +416,15 @@ class TestMonteCarlo:
     def test_symbol_stream_is_n_real_rows(self):
         # the documented stream, rebuilt from its definition: a symbol draws
         # block 0 of sigma * standard_normal((2, n, N)) as (1, n, N), the
-        # same numbers as (n, N), and row j is Re(w_j - z_j)
+        # same numbers as (n, N), and row j is Re(w_j - z_j); the unit symbol's
+        # mean and standard error are then multiplied by the amplitude
         f, z, q, samples, seed = GaussianSymbol(2, 1.5, 0.5), (0.3 + 0.2j, -0.6 + 0.1j), QuantParams(1.0), 2000, 8
         rows = math.sqrt(1.0 / (2.0 * q.alpha)) * np.random.default_rng(seed).standard_normal((2, samples))
-        values = f.amplitude * np.exp(-f.compression * ((z[0].real + rows[0]) ** 2 + (z[1].real + rows[1]) ** 2))
+        values = np.exp(-f.compression * ((z[0].real + rows[0]) ** 2 + (z[1].real + rows[1]) ** 2))
         mean = np.mean(values)
         stderr = math.sqrt(float(np.sum((values - mean) ** 2)) / (samples * (samples - 1)))
         result = monte_carlo_transform(f, z, q, MonteCarloConfig(samples=samples, seed=seed))
-        assert repr(result) == repr((complex(mean), stderr))
+        assert repr(result) == repr((complex(mean * f.amplitude), stderr * f.amplitude))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_callable_symbol_reads_the_symbol_stream(self, n):
@@ -428,19 +444,18 @@ class TestMonteCarlo:
         assert callable_stderr == pytest.approx(symbol_stderr, rel=1e-15)
 
     def test_non_finite_sample_names_the_sample(self):
-        # at alpha=1e-310 a sample's square overflows, and 0 * inf is NaN
+        # a callable that is non-finite past a radius fails at the first such
+        # sample, named from both blocks of the stream
         cfg = MonteCarloConfig(samples=1000, seed=1)
-        with pytest.raises(NumericContractError, match=r"non-finite at sample \(\("):
-            monte_carlo_transform(GaussianSymbol(1, 1.0, 0.0), 0j, QuantParams(1e-310), cfg)
-        # at alpha=1e-308 the samples are finite (sigma = 7.1e153) but some
-        # squares are not; the message names the first such sample, its Re w
-        # drawn and its Im w that of the centre
-        rows = math.sqrt(1.0 / 2e-308) * np.random.default_rng(1).standard_normal((2, 1000))
-        with np.errstate(over="ignore"):
-            bad = int(np.flatnonzero(np.isinf((0.5 + rows[0]) ** 2 + rows[1] ** 2))[0])
-        sample = (0.5 + 0.2j + rows[0, bad], -0.3j + rows[1, bad])
+        z = (0.5 + 0.2j, -0.3j)
+        blocks = math.sqrt(0.5) * np.random.default_rng(1).standard_normal((2, 2, 1000))
+        w = [c + blocks[0, j] + 1j * blocks[1, j] for j, c in enumerate(z)]
+        bad = int(np.flatnonzero(np.abs(w[0]) + np.abs(w[1]) > 3.0)[0])
+        assert bad > 0
+        sample = tuple(c + complex(blocks[0, j, bad], blocks[1, j, bad]) for j, c in enumerate(z))
         with pytest.raises(NumericContractError, match=re.escape(f"non-finite at sample {sample}")):
-            monte_carlo_transform(GaussianSymbol(2, 1.0, 0.0), (0.5 + 0.2j, -0.3j), QuantParams(1e-308), cfg)
+            monte_carlo_transform(lambda w1, w2: np.where(np.abs(w1) + np.abs(w2) > 3.0, np.inf, 1.0), z,
+                                  QuantParams(1.0), cfg)
         # a callable that is non-finite everywhere fails at the first sample,
         # column 0 of both blocks
         first = math.sqrt(0.5) * np.random.default_rng(1).standard_normal((2, 1, 1000))[:, 0, 0]
@@ -450,17 +465,24 @@ class TestMonteCarlo:
                 monte_carlo_transform(lambda w: 1.0 / (w.real - w.real), 0.5 + 0j, QuantParams(1.0), cfg)
 
     @pytest.mark.parametrize(
-        "amplitude,compression,refused",
+        "amplitude,compression,cfg",
         [
-            (1e305, 0.0, r"estimate \(inf\+0j\) is not finite at amplitude=1e\+305"),  # the mean's sum overflows
-            (1e160, 1.0, r"standard error inf is not finite at amplitude=1e\+160"),  # squared deviations overflow
+            (1e305, 0.0, MonteCarloConfig(100_000, 3)),  # the sum of the scaled values would overflow
+            (1e160, 1.0, MonteCarloConfig(100_000, 3)),  # so would their squared deviations
+            (1e200, 1.0, MonteCarloConfig(1000, 0)),
         ],
-        ids=["mean", "stderr"],
+        ids=["mean", "stderr", "1e200"],
     )
-    def test_overflowing_estimate_is_refused(self, amplitude, compression, refused):
-        cfg = MonteCarloConfig(samples=100_000, seed=3)
-        with pytest.raises(NumericContractError, match="Monte-Carlo " + refused):
-            monte_carlo_transform(GaussianSymbol(1, amplitude, compression), 0j, QuantParams(1.0), cfg)
+    def test_large_amplitude_is_estimated(self, amplitude, compression, cfg):
+        # the unit symbol is averaged and the amplitude multiplies the result once
+        g, q = GaussianSymbol(1, amplitude, compression), QuantParams(1.0)
+        estimate, stderr = monte_carlo_transform(g, 0j, q, cfg)
+        closed = evaluate(berezin_transform_closed(g, q), 0j)
+        if compression == 0.0:
+            assert (estimate, stderr) == (amplitude, 0.0)
+        else:
+            assert 0.0 < stderr < 0.02 * closed
+            assert abs(estimate - closed) <= 4.0 * stderr
 
     def test_underflowing_symbol_estimate_is_refused(self):
         # sigma = 7.2e126, so every sample's exponent is about -1e46 and the mean
@@ -496,16 +518,22 @@ class TestMonteCarlo:
         [
             # sigma = 7.1e149: lambda * (Re w)^2 overflows, so every sample is 0
             (1e10, 1e-300, "Monte-Carlo estimate underflows to 0 at amplitude=1.0, lambda=10000000000.0, alpha=1e-300"),
-            # sigma = 7.1e153: a sample's square overflows, and -0 * inf is NaN
-            (0.0, 1e-308, "integrand is non-finite at sample ((-1.6440450272145313e+154+0j),)"),
         ],
-        ids=["underflow", "non-finite"],
+        ids=["underflow"],
     )
     def test_overflow_inside_the_symbol_is_refused_by_name(self, compression, alpha, refused):
         # no numpy warning comes first: warnings are errors here
         g, q = GaussianSymbol(1, 1.0, compression), QuantParams(alpha)
         with pytest.raises(NumericContractError, match="^" + re.escape(refused) + "$"):
             monte_carlo_transform(g, 0j, q, MonteCarloConfig(samples=100_000, seed=0))
+
+    @pytest.mark.parametrize("alpha", [1e-308, 1e-310])
+    @pytest.mark.parametrize("z", [0j, (0.5 + 0.2j, -0.3j)], ids=["n1", "n2"])
+    def test_overflowing_square_keeps_the_constant(self, z, alpha):
+        # sigma >= 7.1e153, so some squares overflow; min(u^2, max) * -0 is -0,
+        # not NaN, and every sample of the constant symbol is 1
+        g = GaussianSymbol(1 if z == 0j else len(z), 1.0, 0.0)
+        assert monte_carlo_transform(g, z, QuantParams(alpha), MonteCarloConfig(1000, 0)) == (1 + 0j, 0.0)
 
     def test_zero_callable_estimate_is_zero(self):
         cfg = MonteCarloConfig(samples=1000, seed=0)
