@@ -7,7 +7,7 @@ the weights are exp(-x^2) / sum_{k<m} psi_k(x)^2 (Townsend, Trogdon & Olver,
 IMA J. Numer. Anal. 36, 2016).  psi_k = p_k * exp(-x^2/2) neither overflows
 nor loses relative accuracy, so every weight, down to the outermost, is
 accurate to a few ulps.  An order-m rule integrates t^k * exp(-t^2) exactly
-for k <= 2m-1; the 16 most recently used rules are cached (`gauss_hermite`).
+for k <= 2m-1; every rule built is kept (`gauss_hermite`).
 
 `berezin_transform_numeric` evaluates the smoothing-transform integral
 
@@ -58,7 +58,6 @@ __all__ = [
 MAX_RULE_ORDER = 360
 MAX_TENSOR_DIM = 4
 MIN_EFFECTIVE_SAMPLES = 100  # a symbol's Monte-Carlo estimate must rest on at least this many
-RULE_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -135,14 +134,14 @@ def gauss_hermite(order: int) -> QuadratureRule1D:
     sub-normal from m = 371 on.  At m = 512, 34 true weights lie below
     1e-308, so a rule of that order cannot be represented.
 
-    The order is validated on every call; the rule comes from a cache of
-    the 16 most recently used orders, so a repeated order returns the same
-    object.
+    The order is validated on every call, before the cache.  Every rule
+    built is kept, so a repeated order returns the same object; all 360
+    orders together hold 1.04 MB of nodes and weights.
     """
     return _build_rule(_integer("order", order, 1, MAX_RULE_ORDER))
 
 
-@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+@functools.cache  # at most MAX_RULE_ORDER rules, since the order is validated first
 def _build_rule(order: int) -> QuadratureRule1D:
     half = order // 2
     a = 0.5 if order % 2 else -0.5
@@ -314,7 +313,12 @@ def monte_carlo_transform(
             raise NumericContractError(f"integrand is non-finite at sample {sample}")
     with np.errstate(over="ignore"):  # an overflowing sum is refused below, by name
         mean = np.mean(values)
-        stderr = math.sqrt(float(np.sum(np.abs(values - mean) ** 2)) / (cfg.samples * (cfg.samples - 1)))
+        if isinstance(f, GaussianSymbol):  # real values in this call's own buffer: spread in place
+            values -= mean
+            spread = np.sum(np.square(values, out=values))
+        else:  # a callable's values may be complex, or an array its caller still holds
+            spread = np.sum(np.abs(values - mean) ** 2)
+        stderr = math.sqrt(float(spread) / (cfg.samples * (cfg.samples - 1)))
     if not (cmath.isfinite(mean) and math.isfinite(stderr)):
         what = f"estimate {complex(mean)!r}" if not cmath.isfinite(mean) else f"standard error {stderr!r}"
         raise NumericContractError(f"Monte-Carlo {what} is not finite")

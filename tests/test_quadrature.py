@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from berezin import (
     monte_carlo_transform,
     trace_numeric,
 )
-from berezin.quadrature import MAX_RULE_ORDER, RULE_CACHE_SIZE, NumericContractError, _build_rule
+from berezin.quadrature import MAX_RULE_ORDER, NumericContractError, _build_rule
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -92,10 +93,15 @@ class TestGaussHermite:
         assert rule is gauss_hermite(80)
         assert type(rule.order) is int
 
-    def test_cache_is_bounded(self):
-        for order in range(1, MAX_RULE_ORDER + 1):
-            gauss_hermite(order)
-        assert 6 <= _build_rule.cache_info().currsize <= RULE_CACHE_SIZE
+    def test_every_order_is_kept(self):
+        # the order is validated first, so the memo holds at most one rule per order
+        _build_rule.cache_clear()
+        first = [gauss_hermite(order) for order in range(1, MAX_RULE_ORDER + 1)]
+        info = _build_rule.cache_info()
+        assert (info.currsize, info.misses) == (MAX_RULE_ORDER, MAX_RULE_ORDER)
+        again = [gauss_hermite(order) for order in range(1, MAX_RULE_ORDER + 1)]
+        assert _build_rule.cache_info().misses == MAX_RULE_ORDER
+        assert all(rule is kept for rule, kept in zip(again, first))
 
     @pytest.mark.parametrize("order", [7, 80, 255, 256])
     def test_matches_independent_reference(self, order):
@@ -386,6 +392,20 @@ class TestMonteCarlo:
         estimate, stderr = monte_carlo_transform(GaussianSymbol(1, 1.0, 1.0), 0j, QuantParams(1.0), cfg)
         assert stderr > 0.0
         assert abs(estimate.real - 0.7071067811865476) <= 3.0 * stderr
+
+    def test_symbol_spread_is_taken_in_place(self):
+        # one 100 000-sample symbol call holds its (1, 1, N) draw and little else:
+        # the squared deviations reuse that buffer, so the peak stays below two buffers
+        cfg = MonteCarloConfig(samples=100_000, seed=4)
+        g, q = GaussianSymbol(1, 1.0, 1.0), QuantParams(1.0)
+        monte_carlo_transform(g, 0.3j, q, cfg)
+        tracemalloc.start()
+        try:
+            monte_carlo_transform(g, 0.3j, q, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * cfg.samples
 
     def test_seed_determinism(self):
         cfg = MonteCarloConfig(samples=5000, seed=99)
