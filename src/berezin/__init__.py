@@ -58,6 +58,10 @@ _EXPORTS = {
         "GridSpec",
         "OscillatorSpec",
         "UncertaintyReport",
+        "commutator_residual",
+        "eigenstate_residual",
+        "ground_state_residual",
+        "ladder_identity_residual",
         "spectrum",
         "uncertainty_quadrature",
         "uncertainty_report",

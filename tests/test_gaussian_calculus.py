@@ -21,11 +21,14 @@ from berezin import (
     PolynomialSymbol,
     QuantParams,
     berezin_transform_closed,
+    commutator_residual,
+    eigenstate_residual,
     evaluate,
     gauss_hermite,
     gaussian_moment,
     heat_evolve,
     integrate,
+    ladder_identity_residual,
     purity_index,
     spectrum,
     taylor_remainder,
@@ -311,6 +314,8 @@ def _gaussian(x):
     return np.exp(-x * x / 2.0)
 
 
+RESIDUAL_GRID = GridSpec(10.0, 1000)
+
 # every real parameter goes through gaussian_calculus._real: (valid value,
 # call returning what is stored or computed, name in the refusal, 0 allowed)
 REAL_PARAMETERS = {
@@ -326,6 +331,11 @@ REAL_PARAMETERS = {
     "uncertainty_report.amplitude": (2.0, lambda x: uncertainty_report(1.0, x).amplitude, "K", False),
     "uncertainty_quadrature.lam": (0.5, lambda x: uncertainty_quadrature(x).lam, "lambda", False),
     "uncertainty_quadrature.amplitude": (2.0, lambda x: uncertainty_quadrature(1.0, x).amplitude, "K", False),
+    "commutator_residual.h": (0.5, lambda x: commutator_residual(RESIDUAL_GRID, h=x), "h", False),
+    "ladder_identity_residual.h": (
+        0.5, lambda x: ladder_identity_residual([_gaussian], RESIDUAL_GRID, h=x), "h", False,
+    ),
+    "eigenstate_residual.h": (0.5, lambda x: eigenstate_residual(RESIDUAL_GRID, _gaussian, 0.5, h=x), "h", False),
 }
 
 

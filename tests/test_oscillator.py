@@ -1,4 +1,4 @@
-"""Oscillator spectrum and the uncertainty equality."""
+"""Oscillator spectrum, ladder/commutator identities, uncertainty equality."""
 
 import math
 import random
@@ -13,6 +13,10 @@ from berezin import (
     GridSpec,
     OscillatorSpec,
     UncertaintyReport,
+    commutator_residual,
+    eigenstate_residual,
+    ground_state_residual,
+    ladder_identity_residual,
     spectrum,
     uncertainty_quadrature,
     uncertainty_report,
@@ -23,6 +27,10 @@ from berezin.quadrature import NumericContractError
 
 GRID = GridSpec(half_width=10.0, points=2000)
 FINE_GRID = GridSpec(half_width=10.0, points=4001)  # halves the spacing
+
+
+def gaussian(x):
+    return np.exp(-x * x / 2.0)
 
 
 class TestSpectrum:
@@ -158,6 +166,106 @@ class TestSpectrum:
             GridSpec(half_width=10.0, points=2)
         with pytest.raises(ValueError):
             GridSpec(half_width=0.0, points=100)
+
+
+class TestEigenResiduals:
+    def test_ground_state(self):
+        assert ground_state_residual(OscillatorSpec(dim=1, h=1.0), GRID) <= 1e-4
+
+    def test_ground_state_refines(self):
+        coarse = ground_state_residual(OscillatorSpec(), GRID)
+        fine = ground_state_residual(OscillatorSpec(), FINE_GRID)
+        assert fine < coarse
+
+    def test_wrong_energy_detected(self):
+        residual = eigenstate_residual(GRID, gaussian, energy=2.0, h=1.0)
+        assert residual == pytest.approx(1.0, abs=0.01)
+
+    def test_first_excited_hermite(self):
+        residual = eigenstate_residual(GRID, lambda x: x * gaussian(x), energy=3.0, h=1.0)
+        assert residual <= 1e-4
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_non_finite_energy_refused(self, energy):
+        with pytest.raises(ValueError, match="^energy must be finite"):
+            eigenstate_residual(GRID, lambda x: np.exp(-x * x / 2.0), energy)
+
+    def test_non_finite_state_refused(self):
+        # a NaN sample is refused, naming its x, where the residual read NaN
+        x, _ = GRID.coordinates()
+        first = float(x[x > 1.0][0])
+        with pytest.raises(ValueError, match=re.escape(f"state 0 is non-finite at x = {first!r}")):
+            eigenstate_residual(GRID, lambda x: np.where(x > 1.0, np.nan, gaussian(x)), 1.0)
+
+    def test_overflowing_residual_is_contract_error(self):
+        # a spike of 1e152 has a finite norm, but the norm of its second
+        # difference, 2e152/dx^2 with dx ~ 0.01, overflows
+        x, _ = GRID.coordinates()
+        spike = np.where(np.arange(x.size) == 1000, 1e152, 0.0)
+        refused = f"state 0 overflows on the grid: ||psi|| = {float(np.linalg.norm(spike))!r}, residual = inf"
+        with pytest.raises(NumericContractError, match="^" + re.escape(refused) + "$"):
+            eigenstate_residual(GRID, spike, 1.0)
+
+    def test_requires_one_dim(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ground_state_residual(OscillatorSpec(dim=2, h=1.0), GRID)
+
+
+class TestLadderIdentity:
+    def test_gaussian_state(self):
+        assert ladder_identity_residual([gaussian], GRID, h=1.0) <= 1e-3
+
+    def test_polynomial_times_gaussian(self):
+        states = [gaussian, lambda x: x * x * gaussian(x)]
+        assert ladder_identity_residual(states, GRID, h=1.0) <= 1e-3
+
+    def test_half_h(self):
+        assert ladder_identity_residual([gaussian], GRID, h=0.5) <= 1e-3
+
+    def test_zero_state_rejected(self):
+        with pytest.raises(ValueError, match="negligible norm"):
+            ladder_identity_residual([lambda x: np.zeros_like(x)], GRID)
+
+    def test_non_finite_state_is_not_a_perfect_residual(self):
+        # max(0.0, nan) is 0.0, so a NaN state once read as residual 0
+        grid = GridSpec(6.0, 600)
+        first = float(grid.coordinates()[0][0])
+        with pytest.raises(ValueError, match=re.escape(f"state 0 is non-finite at x = {first!r}")):
+            ladder_identity_residual([lambda x: np.full_like(x, np.nan)], grid)
+        with pytest.raises(ValueError, match=re.escape(f"state 1 is non-finite at x = {first!r}")):
+            ladder_identity_residual([gaussian, lambda x: np.full_like(x, np.inf)], grid)
+
+    def test_overflowing_norm_is_contract_error(self):
+        # scaled to a unit peak, the state's second difference still overflows
+        # at dx = 1e-155; the refusal reports the norm of the state as given
+        grid = GridSpec(1e-152 * 2001 / 2, 2000)
+        with pytest.raises(NumericContractError, match=r"^state 0 overflows on the grid: \|\|psi\|\| = inf"):
+            ladder_identity_residual([lambda x: np.full_like(x, 1e307)], grid)
+
+    def test_state_too_large_to_square_is_scaled_exactly(self):
+        # np.linalg.norm of a state with samples beyond ~1.3e154 overflows;
+        # the residual is that of the state divided by an exact power of two
+        unit = ladder_identity_residual([gaussian], GRID)
+        large = ladder_identity_residual([lambda x: 1e160 * gaussian(x)], GRID)
+        assert large == pytest.approx(unit, rel=1e-10)  # the rounding of 1e160 * exp moves the 13th digit
+        assert ladder_identity_residual([lambda x: 2.0**531 * gaussian(x)], GRID) == unit
+        samples = 1e160 * gaussian(GRID.coordinates()[0])
+        assert ladder_identity_residual([samples], GRID) == ladder_identity_residual([samples * 2.0**-531], GRID)
+
+    def test_needs_states(self):
+        with pytest.raises(ValueError, match="at least one"):
+            ladder_identity_residual([], GRID)
+
+
+class TestCommutator:
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    def test_canonical_pair(self, h):
+        assert commutator_residual(GRID, h=h) <= 1e-3
+
+    def test_second_order_scaling(self):
+        coarse = commutator_residual(GridSpec(half_width=10.0, points=1000), h=1.0)
+        fine = commutator_residual(GridSpec(half_width=10.0, points=2001), h=1.0)
+        assert coarse / fine == pytest.approx(4.0, abs=1.0)
 
 
 class TestUncertainty:
