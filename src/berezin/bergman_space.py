@@ -1,10 +1,8 @@
 """Weighted Bergman (Segal-Bargmann) space machinery on C^n.
 
-Weight, reproducing kernel, the inner-product trace functional, and the
-purity index of the squared transformed symbol:
+The inner-product trace functional against the Gaussian weight of unit
+mass, and the purity index of the squared transformed symbol:
 
-    rho(z) = (alpha/pi)^n * exp(-alpha * z . conj(z))      (total mass 1)
-    K(z, w) = exp(alpha * z . conj(w))                      (reproducing)
     Tr(g)  = (alpha/pi)^n * int g(z) exp(-alpha*|z|^2) dA(z)
 
 For the Gaussian family the trace closes: Tr(A*exp(-lam*(Re z)^2 summed))
@@ -15,35 +13,26 @@ tends to 1 in the classical limit alpha -> infinity.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .gaussian_calculus import (
     ComplexPoint,
     GaussianSymbol,
     NumericContractError,
-    PointLike,
     QuantParams,
     _half_power,
     _real,
-    as_point,
     berezin_transform_closed,
 )
-from .quadrature import QuadratureRule1D, berezin_transform_numeric, integrate
-from .semiclassics import PolynomialSymbol
+from .quadrature import berezin_transform_numeric
 
 __all__ = [
     "TraceReport",
-    "kernel",
     "purity_index",
-    "reproducing_residual",
     "trace",
     "trace_numeric",
-    "weight",
 ]
 
 
@@ -62,24 +51,6 @@ class TraceReport:
             raise ValueError(f"normalized trace must lie in (0, 1], got {self.normalized_trace!r}")
         if not (math.isfinite(self.raw_trace) and self.raw_trace > 0.0):
             raise ValueError(f"raw trace must be positive and finite, got {self.raw_trace!r}")
-
-
-def kernel(z: PointLike, w: PointLike, q: QuantParams) -> complex:
-    """Reproducing kernel K(z, w) = exp(alpha * sum_j z_j * conj(w_j)).
-
-    Hermitian: kernel(z, w) = conj(kernel(w, z)); the diagonal is positive.
-    """
-    zp = as_point(z)
-    wp = as_point(w, zp.dim)
-    inner = sum(zc * wc.conjugate() for zc, wc in zip(zp.coords, wp.coords))
-    return cmath.exp(q.alpha * inner)
-
-
-def weight(z: PointLike, q: QuantParams) -> float:
-    """Gaussian weight rho(z) = (alpha/pi)^n * exp(-alpha * |z|^2)."""
-    point = as_point(z)
-    sq = sum(c.real * c.real + c.imag * c.imag for c in point.coords)
-    return (q.alpha / math.pi) ** point.dim * math.exp(-q.alpha * sq)
 
 
 def trace(g: GaussianSymbol, q: QuantParams) -> float:
@@ -134,33 +105,3 @@ def purity_raw_numeric(lam: float, q: QuantParams, dim: int = 1, order: int = 80
     """Quadrature cross-check of the raw squared-transform trace."""
     return trace_numeric(_squared_transform(lam, q, dim), q, order=order)
 
-
-def reproducing_residual(
-    p: PolynomialSymbol,
-    z: PointLike,
-    q: QuantParams,
-    rule: QuadratureRule1D,
-) -> float:
-    """| int p(w) K(z, w) rho(w) dA(w)  -  p(z) | for holomorphic p.
-
-    The kernel reproduces holomorphic polynomials; non-holomorphic input
-    (any conj-coordinate power) is rejected.  The integral over the 2n real
-    coordinates of w runs through `integrate` with the weight's Gaussian as
-    its node scaling, so `integrate` limits the dimension to n <= 2 (2n <= 4
-    real axes), and the degree is limited to the rule's exactness budget.
-    """
-    if p.degree_zbar > 0:
-        raise ValueError("reproducing property requires a holomorphic polynomial (no conj powers)")
-    point = as_point(z, p.dim)
-    n = p.dim
-    if 2 * p.degree > 2 * rule.order - 1:
-        raise ValueError(f"degree {p.degree} exceeds the exactness budget of an order-{rule.order} rule")
-    alpha = q.alpha
-
-    def integrand(*xy):
-        w = tuple(x + 1j * y for x, y in zip(xy[:n], xy[n:]))
-        phase = sum(alpha * zc * np.conj(wc) for zc, wc in zip(point.coords, w))
-        return p.eval_many(w) * np.exp(phase)
-
-    total = integrate(integrand, rule, 2 * n, scale=alpha) * (alpha / math.pi) ** n
-    return abs(total - p.eval_point(point))

@@ -33,7 +33,6 @@ __all__ = [
     "gaussian_moment",
     "heat_evolve",
     "taylor_remainder",
-    "transform_compose",
 ]
 
 PointLike = Union["ComplexPoint", complex, float, Sequence[complex]]
@@ -173,7 +172,9 @@ def berezin_transform_closed(g: GaussianSymbol, q: QuantParams) -> GaussianSymbo
     amplitude' = amplitude * (alpha/(alpha + lam))^(n/2)
     compression' = alpha*lam/(alpha + lam)
 
-    Linear in the amplitude; compression 0 is a fixed point.  An amplitude'
+    Linear in the amplitude; compression 0 is a fixed point.  Applied at
+    alpha_1 and then at alpha_2, reciprocal widths add:
+    1/lam'' = 1/lam + 1/alpha_1 + 1/alpha_2 (for lam > 0).  An amplitude'
     below the double range raises NumericContractError.
     """
     ratio = q.alpha / (q.alpha + g.compression)
@@ -194,14 +195,6 @@ def heat_evolve(g: GaussianSymbol, q: QuantParams) -> GaussianSymbol:
     `berezin_transform_closed`.
     """
     return berezin_transform_closed(g, q)
-
-
-def transform_compose(g: GaussianSymbol, q1: QuantParams, q2: QuantParams) -> GaussianSymbol:
-    """Apply the transform twice; reciprocal widths add:
-
-    1/lam'' = 1/lam + 1/alpha_1 + 1/alpha_2   (for lam > 0).
-    """
-    return berezin_transform_closed(berezin_transform_closed(g, q1), q2)
 
 
 def _first_order(g: GaussianSymbol, q: QuantParams, point: ComplexPoint) -> float:

@@ -21,11 +21,6 @@ x^2 - d^2/dx^2 once per (grid, levels), kept in a memo of 16 pairs, and
 every call shifts the result by h - 1 and scales it by dim: about 3.3 ms
 for the first call at N = 4001, about 10 us for a repeat.
 
-`ladder_identity_residual` and `commutator_residual` instead keep h inside
-the momentum operator (p_hat = -i*h*d/dx, so [x, p] = i*h) and verify the
-operator identities H = x^2 - h^2 d^2/dx^2 = 2*zbar_hat*z_hat + h at the
-finite-difference level; both conventions are checked independently.
-
 The uncertainty functions work with the compressed Gaussian state
 psi = K * exp(-lam*x^2 / (2*(1+lam))) and second moments taken against the
 unnormalized density psi^2; the product of variances equals the squared
@@ -39,7 +34,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,10 +44,6 @@ __all__ = [
     "GridSpec",
     "OscillatorSpec",
     "UncertaintyReport",
-    "commutator_residual",
-    "eigenstate_residual",
-    "ground_state_residual",
-    "ladder_identity_residual",
     "spectrum",
     "uncertainty_quadrature",
     "uncertainty_report",
@@ -178,129 +168,6 @@ def spectrum(spec: OscillatorSpec, grid: GridSpec, levels: int) -> np.ndarray:
             f"half_width={grid.half_width!r}, points={grid.points!r}"
         )
     return energies
-
-
-def _second_diff(psi: np.ndarray, dx: float) -> np.ndarray:
-    padded = np.concatenate(([0.0], psi, [0.0]))  # zero Dirichlet ends (np.pad is several times slower here)
-    return (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / dx**2
-
-
-def _first_diff(psi: np.ndarray, dx: float) -> np.ndarray:
-    padded = np.concatenate(([0.0], psi, [0.0]))
-    return (padded[2:] - padded[:-2]) / (2.0 * dx)
-
-
-# a state whose largest |sample| reaches 2**_SAFE_EXPONENT has a squared norm
-# beyond the double range; it is scaled by a power of two before the operator
-_SAFE_EXPONENT = 512
-
-
-def _worst_residual(grid: GridSpec, states: Sequence, residual: Callable) -> float:
-    """Max over the states (callables of x, or samples) of ||residual(x, psi, dx)|| / ||psi||.
-
-    The ratio is scale-invariant and the residuals are linear, so a state too
-    large to square is first divided by the power of two at its largest
-    sample (exactly, bar samples that turn sub-normal); every other state is
-    used as given, so its residual is unchanged to the bit.
-    Refuses, naming the state's index, a non-finite sample (and its first x),
-    a negligible norm, and a norm or residual that overflowed."""
-    if not states:
-        raise ValueError("need at least one test state")
-    x, dx = grid.coordinates()
-    worst = 0.0
-    for index, state in enumerate(states):
-        psi = np.asarray(state(x) if callable(state) else state, dtype=complex)
-        if psi.shape != x.shape:
-            raise ValueError(f"state samples have shape {psi.shape}, expected {x.shape}")
-        bad = ~np.isfinite(psi)
-        if np.any(bad):
-            raise ValueError(f"state {index} is non-finite at x = {float(x[np.argmax(bad)])!r}")
-        exponent = math.frexp(float(np.abs(psi).max()))[1]
-        shift = exponent if exponent > _SAFE_EXPONENT else 0
-        if shift:
-            psi = psi * math.ldexp(1.0, -shift)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below, by name
-            norm = float(np.linalg.norm(psi))
-            unscaled = float(np.ldexp(norm, shift))
-            if unscaled * math.sqrt(dx) < 1e-10:
-                raise ValueError("state has negligible norm on the grid")
-            value = float(np.linalg.norm(residual(x, psi, dx))) / norm
-        if not (math.isfinite(norm) and math.isfinite(value)):
-            raise NumericContractError(
-                f"state {index} overflows on the grid: ||psi|| = {unscaled!r}, residual = {value!r}"
-            )
-        worst = max(worst, value)
-    return worst
-
-
-def eigenstate_residual(
-    grid: GridSpec,
-    state: Callable[[np.ndarray], np.ndarray],
-    energy: float,
-    h: float = 1.0,
-) -> float:
-    """||H psi - E psi|| / ||psi|| for the discretized H = x^2 - d2 + (h-1)."""
-    h = _real("h", h)
-    if not np.isfinite(energy):
-        raise ValueError(f"energy must be finite, got {energy!r}")
-    return _worst_residual(
-        grid, [state], lambda x, psi, dx: (x * x + (h - 1.0)) * psi - _second_diff(psi, dx) - energy * psi
-    )
-
-
-def ground_state_residual(spec: OscillatorSpec, grid: GridSpec) -> float:
-    """Eigen-residual of the Gaussian ground state exp(-x^2/2) at E_0 = h.
-
-    Limited by the second-order discretization; refine the grid to shrink it.
-    """
-    if spec.dim != 1:
-        raise ValueError("the grid solver is one-dimensional")
-    return eigenstate_residual(grid, lambda x: np.exp(-x * x / 2.0), spec.h, h=spec.h)
-
-
-def ladder_identity_residual(
-    test_states: Sequence[Callable[[np.ndarray], np.ndarray]],
-    grid: GridSpec,
-    h: float = 1.0,
-) -> float:
-    """Worst residual of H psi = 2*zbar_hat(z_hat psi) + h*psi over the states.
-
-    Here H = x^2 - h^2 d^2/dx^2 and z_hat = (x_hat + i*p_hat)/sqrt(2) with
-    p_hat = -i*h*d/dx, all applied by central differences; the identity is
-    operator-level, so the residual is pure discretization error.
-    """
-    h = _real("h", h)
-
-    def residual(x, psi, dx):
-        h_psi = x * x * psi - h * h * _second_diff(psi, dx)
-        z_psi = (x * psi + h * _first_diff(psi, dx)) / math.sqrt(2.0)
-        return h_psi - (math.sqrt(2.0) * (x * z_psi - h * _first_diff(z_psi, dx)) + h * psi)
-
-    return _worst_residual(grid, test_states, residual)
-
-
-_COMMUTATOR_STATES = (
-    lambda x: np.exp(-x * x / 2.0),
-    lambda x: x * np.exp(-x * x / 2.0),
-    lambda x: x * x * np.exp(-x * x / 2.0),
-    lambda x: np.cos(x) * np.exp(-x * x / 2.0),
-)
-
-
-def commutator_residual(grid: GridSpec, h: float = 1.0) -> float:
-    """Worst canonical-commutator residual over a fixed smooth family.
-
-    Checks ||(x p - p x) psi - i h psi|| / ||psi|| with p = -i*h*d/dx by
-    central differences.
-    """
-    h = _real("h", h)
-
-    def residual(x, psi, dx):
-        p_psi = -1j * h * _first_diff(psi, dx)
-        p_x_psi = -1j * h * _first_diff(x * psi, dx)
-        return x * p_psi - p_x_psi - 1j * h * psi
-
-    return _worst_residual(grid, _COMMUTATOR_STATES, residual)
 
 
 @dataclass(frozen=True)

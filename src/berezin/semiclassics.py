@@ -221,23 +221,6 @@ class PolynomialSymbol:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval_many(self, coords: Sequence[np.ndarray]) -> np.ndarray:
-        """Evaluate on broadcastable complex coordinate arrays (one per axis)."""
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinate arrays, got {len(coords)}")
-        shape = np.broadcast(*coords).shape if self.dim > 1 else np.asarray(coords[0]).shape
-        out = np.zeros(shape, dtype=complex)
-        for beta, gamma, coeff in self.terms:
-            term = np.full(shape, coeff, dtype=complex)
-            for axis in range(self.dim):
-                c = np.asarray(coords[axis])
-                if beta[axis]:
-                    term = term * c ** beta[axis]
-                if gamma[axis]:
-                    term = term * np.conj(c) ** gamma[axis]
-            out += term
-        return out
-
     def eval_point(self, z: PointLike) -> complex:
         point = as_point(z, self.dim)
         total = 0j

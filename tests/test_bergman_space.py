@@ -1,73 +1,24 @@
-"""Weight, kernel, reproducing property, trace, and purity index."""
+"""The weight's unit mass, the trace, and the purity index."""
 
-import math
 import re
-import tracemalloc
 
-import numpy as np
 import pytest
 
 from berezin import (
     ComplexPoint,
     GaussianSymbol,
-    PolynomialSymbol,
     QuantParams,
     TraceReport,
     berezin_transform_numeric,
-    gauss_hermite,
-    kernel,
     purity_index,
-    reproducing_residual,
     trace,
     trace_numeric,
-    weight,
 )
 from berezin.bergman_space import purity_raw_numeric
 from berezin.gaussian_calculus import NumericContractError
 
 
-class TestKernel:
-    def test_origin(self):
-        assert kernel(0j, 0j, QuantParams(3.0)) == 1.0
-
-    def test_real_points(self):
-        assert kernel(1.0 + 0j, 1.0 + 0j, QuantParams(2.0)) == pytest.approx(7.38905609893065, rel=1e-15)
-
-    def test_imaginary_points(self):
-        # z = w = i: z*conj(w) = 1, so the value is e  [frozen]
-        value = kernel(1j, 1j, QuantParams(1.0))
-        assert value == pytest.approx(2.718281828459045, rel=1e-15)
-        assert value.imag == 0.0
-
-    def test_hermitian_symmetry(self):
-        rng = np.random.default_rng(11)
-        q = QuantParams(1.3)
-        for _ in range(50):
-            z = complex(*rng.uniform(-1, 1, 2))
-            w = complex(*rng.uniform(-1, 1, 2))
-            assert kernel(z, w, q) == pytest.approx(kernel(w, z, q).conjugate(), rel=1e-15)
-
-    def test_diagonal_positive(self):
-        rng = np.random.default_rng(12)
-        q = QuantParams(0.7)
-        for _ in range(50):
-            z = (complex(*rng.uniform(-2, 2, 2)), complex(*rng.uniform(-2, 2, 2)))
-            diagonal = kernel(z, z, q)
-            assert diagonal.imag == 0.0
-            assert diagonal.real > 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            kernel((1j, 0j), 1j, QuantParams(1.0))
-
-
 class TestWeight:
-    def test_normalizing_alpha(self):
-        assert weight(0j, QuantParams(math.pi)) == 1.0
-
-    def test_frozen_value(self):
-        assert weight(1.0 + 0j, QuantParams(1.0)) == pytest.approx(0.11709966304863834, rel=1e-15)
-
     @pytest.mark.parametrize("dim,alpha", [(1, 2.0), (1, 0.5), (2, 1.0), (3, 0.7)])
     def test_total_mass(self, dim, alpha):
         mass = trace_numeric(GaussianSymbol(dim), QuantParams(alpha), order=60)
@@ -178,61 +129,3 @@ class TestPurity:
         with pytest.raises(ValueError):
             TraceReport(raw_trace=0.1, normalized_trace=1.5, alpha=1.0, lam=1.0, dim=1)
 
-
-class TestReproducing:
-    def test_constant(self):
-        residual = reproducing_residual(
-            PolynomialSymbol.constant(1, 1.0), 0.5 + 0.2j, QuantParams(1.0), gauss_hermite(80)
-        )
-        assert residual < 1e-12
-
-    def test_linear_monomial(self):
-        p = PolynomialSymbol.coordinate(1)
-        residual = reproducing_residual(p, 1.0 + 1.0j, QuantParams(1.0), gauss_hermite(80))
-        assert residual < 1e-8
-
-    def test_quadratic_monomial(self):
-        p = PolynomialSymbol.coordinate(1) * PolynomialSymbol.coordinate(1)
-        residual = reproducing_residual(p, 0.3 + 0j, QuantParams(2.0), gauss_hermite(80))
-        assert residual < 1e-8
-
-    def test_degree_four(self):
-        z = PolynomialSymbol.coordinate(1)
-        p = z * z * z * z
-        residual = reproducing_residual(p, 0.5 - 0.3j, QuantParams(1.0), gauss_hermite(80))
-        assert residual < 1e-8
-
-    def test_two_dim_degree_two(self):
-        z1 = PolynomialSymbol.coordinate(2, 0)
-        z2 = PolynomialSymbol.coordinate(2, 1)
-        for p in (z1 * z2, z1 * z1, z2):
-            residual = reproducing_residual(p, (0.2 + 0.1j, -0.3 + 0.2j), QuantParams(1.5), gauss_hermite(40))
-            assert residual < 1e-8
-
-    def test_three_dim_refused_by_integrate(self):
-        z3 = PolynomialSymbol.coordinate(3, 2)
-        with pytest.raises(ValueError, match=re.escape("d must be an integer in [1, 4], got 6")):
-            reproducing_residual(z3, (0j, 0j, 0.1j), QuantParams(1.0), gauss_hermite(10))
-
-    def test_two_dim_memory_bounded(self):
-        # the m^4 grid is summed in m^3 chunks, never held whole
-        z1 = PolynomialSymbol.coordinate(2, 0)
-        z2 = PolynomialSymbol.coordinate(2, 1)
-        rule = gauss_hermite(40)
-        tracemalloc.start()
-        try:
-            reproducing_residual(z1 * z2, (0.2 + 0.1j, -0.3 + 0.2j), QuantParams(1.5), rule)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32e6
-
-    def test_rejects_non_holomorphic(self):
-        p = PolynomialSymbol.conj_coordinate(1)
-        with pytest.raises(ValueError, match="holomorphic"):
-            reproducing_residual(p, 0j, QuantParams(1.0), gauss_hermite(20))
-
-    def test_rejects_budget_overflow(self):
-        z = PolynomialSymbol.coordinate(1)
-        with pytest.raises(ValueError, match="budget"):
-            reproducing_residual(z * z * z * z, 0j, QuantParams(1.0), gauss_hermite(2))

@@ -82,6 +82,19 @@ class TestStartup:
         assert set(berezin.__all__) <= set(dir(berezin))
         with pytest.raises(AttributeError, match="'no_such_name'"):
             berezin.no_such_name
+        removed = (
+            "kernel", "weight", "reproducing_residual", "transform_compose", "eigenstate_residual",
+            "ground_state_residual", "ladder_identity_residual", "commutator_residual",
+        )
+        for name in removed:
+            with pytest.raises(AttributeError, match=f"'{name}'"):
+                getattr(berezin, name)
+
+    def test_bergman_space_loads_no_semiclassics(self):
+        code, modules = imported_by("-c", "import berezin.bergman_space")
+        assert code == 0
+        assert "berezin.bergman_space" in modules
+        assert "berezin.semiclassics" not in modules
 
     def test_suite_choices_are_the_verify_suites(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

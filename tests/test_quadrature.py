@@ -178,6 +178,17 @@ class TestIntegrate:
     def test_four_dim_chunked(self):
         value = integrate(lambda a, b, c, d: a * a * np.ones_like(b + c + d), gauss_hermite(8), 4)
         assert value == pytest.approx(SQRT_PI**3 * SQRT_PI / 2, rel=1e-12)
+        # the m^4 grid is summed in m^3 slabs, never held whole: one complex
+        # value per node of the whole grid would take 41 MB at m = 40
+        rule = gauss_hermite(40)
+        tracemalloc.start()
+        try:
+            value = integrate(lambda a, b, c, d: np.exp(1j * (a + b + c + d)), rule, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
+        assert value == pytest.approx((SQRT_PI * math.exp(-0.25)) ** 4, rel=1e-12)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match=re.escape("d must be an integer in [1, 4], got 5")):

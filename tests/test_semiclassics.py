@@ -219,13 +219,6 @@ class TestPolynomialSymbol:
         p = Z * ZBAR  # |z|^2
         assert p.eval_point(0.3 + 0.4j) == pytest.approx(0.25, rel=1e-15)
 
-    def test_eval_many_matches_eval_point(self):
-        p = Z * Z + 2.0 * ZBAR
-        grid = np.array([0.1 + 0.2j, -0.4 + 0.5j, 1.0 - 1.0j])
-        values = p.eval_many((grid,))
-        for point, value in zip(grid, values):
-            assert value == pytest.approx(p.eval_point(complex(point)), rel=1e-14)
-
     def test_json_round_trip_sorted(self):
         p = Z * Z + (1 + 2j) * ZBAR * Z
         data = p.to_json_dict()
