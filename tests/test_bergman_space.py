@@ -53,6 +53,13 @@ class TestTrace:
         q = QuantParams(2.0)
         assert trace_numeric(g, q, order=80) == pytest.approx(trace(g, q), rel=1e-9)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("alpha,lam", [(0.5, 0.25), (0.5, 2.0), (2.0, 1.0), (8.0, 0.5)])
+    def test_closed_matches_quadrature(self, dim, alpha, lam):
+        g = GaussianSymbol(dim, 1.5, lam)
+        q = QuantParams(alpha)
+        assert trace_numeric(g, q) == pytest.approx(trace(g, q), rel=1e-9)
+
     def test_numeric_trace_is_transform_at_origin(self):
         for g in (GaussianSymbol(1, 1.0, 1.0), GaussianSymbol(2, 1.5, 0.7), GaussianSymbol(3, 1.0, 1.2)):
             q = QuantParams(2.0)
@@ -86,6 +93,13 @@ class TestPurity:
             q = QuantParams(alpha)
             report = purity_index(lam, q, dim=1)
             assert purity_raw_numeric(lam, q, dim=1, order=80) == pytest.approx(report.raw_trace, rel=1e-9)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("lam,alpha", [(1.0, 1.0), (0.5, 2.0), (2.0, 5.0)])
+    def test_raw_trace_matches_quadrature_in_higher_dimensions(self, dim, lam, alpha):
+        q = QuantParams(alpha)
+        report = purity_index(lam, q, dim=dim)
+        assert purity_raw_numeric(lam, q, dim=dim) == pytest.approx(report.raw_trace, rel=1e-9)
 
     def test_monotonicity_and_bounds(self):
         alphas = (0.5, 1.0, 2.0, 8.0, 64.0)

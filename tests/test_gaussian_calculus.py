@@ -21,6 +21,7 @@ from berezin import (
     PolynomialSymbol,
     QuantParams,
     berezin_transform_closed,
+    berezin_transform_numeric,
     evaluate,
     gauss_hermite,
     gaussian_moment,
@@ -238,6 +239,15 @@ class TestTransformCompose:
         assert out.amplitude == pytest.approx(0.5773502691896257, rel=1e-14)
         assert out.compression == pytest.approx(single.compression, rel=1e-14)
         assert out.amplitude == pytest.approx(single.amplitude, rel=1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("lam,a1,a2", [(1.0, 1.0, 1.0), (2.0, 0.5, 3.0)])
+    def test_second_step_matches_quadrature(self, dim, lam, a1, a2):
+        # the second step taken by quadrature on the closed first step
+        once = berezin_transform_closed(GaussianSymbol(dim, 1.0, lam), QuantParams(a1))
+        z = (0.4 - 0.2j, -0.3 + 0.5j, 0.6 + 0.1j)[:dim]
+        twice = evaluate(berezin_transform_closed(once, QuantParams(a2)), z)
+        assert berezin_transform_numeric(once, z, QuantParams(a2)).real == pytest.approx(twice, rel=1e-9)
 
     @given(lam=positive, a1=positive, a2=positive)
     @settings(max_examples=200, derandomize=True)

@@ -8,6 +8,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 
 from berezin import (
     GridSpec,
@@ -45,6 +46,20 @@ class TestSpectrum:
         fine = np.abs(spectrum(spec, FINE_GRID, levels=4) - exact)
         ratios = coarse / fine
         assert np.all(np.abs(ratios - 4.0) < 0.5)
+
+    @pytest.mark.parametrize("h", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("j", [0, 1, 2, 3])
+    def test_hermite_function_rayleigh_quotient_is_the_level(self, h, j):
+        # psi_j = H_j(x) exp(-x^2/2) is the eigenstate of energy 2j + h; its Rayleigh
+        # quotient under the same difference operator is a second route to level j
+        x, dx = GRID.coordinates()
+        psi = hermval(x, [0] * j + [1]) * np.exp(-x * x / 2.0)
+        padded = np.concatenate(([0.0], psi, [0.0]))  # Dirichlet ends
+        applied = x * x * psi - (padded[:-2] - 2.0 * psi + padded[2:]) / dx**2 + (h - 1.0) * psi
+        quotient = psi @ applied / (psi @ psi)
+        level = spectrum(OscillatorSpec(1, h), GRID, 4)[j]
+        assert quotient == pytest.approx(level, rel=1e-8)
+        assert abs(quotient - (2 * j + h)) < 1e-3
 
     def test_coarse_grid_warns(self):
         with pytest.warns(UserWarning, match="resolution"):

@@ -28,6 +28,11 @@ from berezin.quadrature import MAX_RULE_ORDER, NumericContractError, _build_rule
 SQRT_PI = math.sqrt(math.pi)
 
 
+# points of C^3 whose first n coordinates serve at dimension n
+NEAR = (0.3 + 0.1j, -0.2 + 0.4j, 0.1 - 0.3j)
+FAR = (1.5 - 0.5j, -1.0 + 0.8j, 2.0 + 1.0j)
+
+
 class TestGaussHermite:
     def test_order_one(self):
         rule = gauss_hermite(1)
@@ -217,6 +222,32 @@ class TestIntegrate:
         assert isinstance(value, complex)
         assert value == pytest.approx((SQRT_PI * math.exp(-0.25)) ** 3, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "exponents,z,alpha,order,tol",
+        [
+            ((0,), (0.5 + 0.2j,), 1.0, 80, 1e-12),
+            ((1,), (1.0 + 1.0j,), 1.0, 80, 1e-8),
+            ((2,), (0.3 + 0j,), 2.0, 80, 1e-8),
+            ((4,), (0.5 - 0.3j,), 1.0, 80, 1e-8),
+            ((1, 1), (0.2 + 0.1j, -0.3 + 0.2j), 1.5, 40, 1e-8),
+            ((2, 0), (0.2 + 0.1j, -0.3 + 0.2j), 1.5, 40, 1e-8),
+            ((0, 1), (0.2 + 0.1j, -0.3 + 0.2j), 1.5, 40, 1e-8),
+        ],
+        ids=["1", "z", "z^2", "z^4", "z1*z2", "z1^2", "z2"],
+    )
+    def test_bergman_kernel_reproduces_holomorphic_monomials(self, exponents, z, alpha, order, tol):
+        # (alpha/pi)^n int w^k exp(alpha <z, w>) exp(-alpha |w|^2) dA(w) = z^k, summed
+        # over the 2n real axes of w with the Bergman weight as the node scaling
+        n = len(z)
+
+        def integrand(*xy):
+            w = [x + 1j * y for x, y in zip(xy[:n], xy[n:])]
+            phase = sum(alpha * zj * np.conj(wj) for zj, wj in zip(z, w))
+            return math.prod(wj**k for wj, k in zip(w, exponents)) * np.exp(phase)
+
+        value = integrate(integrand, gauss_hermite(order), 2 * n, scale=alpha) * (alpha / math.pi) ** n
+        assert abs(value - math.prod(zj**k for zj, k in zip(z, exponents))) < tol
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_sum_matches_fsum(self, d):
         # a signed, oscillating integrand: the weighted sum is within O(eps log n)
@@ -275,6 +306,16 @@ class TestTransformNumeric:
             lambda w1, w2: np.ones(np.broadcast(w1, w2).shape), z, q, order=24
         )
         assert value.real == pytest.approx(1.0, abs=1e-11)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("alpha,lam", [(0.5, 1.0), (2.0, 0.3), (5.0, 4.0)])
+    @pytest.mark.parametrize("point", [NEAR, FAR], ids=["near", "far"])
+    def test_closed_matches_quadrature(self, dim, alpha, lam, point):
+        symbol = GaussianSymbol(dim, 1.0, lam)
+        q = QuantParams(alpha)
+        z = point[:dim]
+        closed = evaluate(berezin_transform_closed(symbol, q), z)
+        assert berezin_transform_numeric(symbol, z, q).real == pytest.approx(closed, rel=1e-9)
 
     def test_refinement_never_hurts(self):
         symbol = GaussianSymbol(1, 1.0, 2.0)
@@ -417,6 +458,17 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * cfg.samples
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("alpha,lam", [(1.0, 1.0), (3.0, 0.5)])
+    def test_agrees_with_closed_within_four_stderr(self, dim, alpha, lam):
+        symbol = GaussianSymbol(dim, 1.0, lam)
+        q = QuantParams(alpha)
+        z = NEAR[:dim]
+        closed = evaluate(berezin_transform_closed(symbol, q), z)
+        estimate, stderr = monte_carlo_transform(symbol, z, q, MonteCarloConfig(samples=20_000, seed=dim))
+        assert stderr > 0.0
+        assert abs(estimate.real - closed) <= 4.0 * stderr
 
     def test_seed_determinism(self):
         cfg = MonteCarloConfig(samples=5000, seed=99)
