@@ -4,8 +4,8 @@ Closed-form transforms, trace/purity functionals, star-product algebra,
 the oscillator's spectrum and uncertainty equality, and an independent
 Gauss-Hermite / Monte-Carlo oracle for every closed form.
 
-The namespace is lazy: `import berezin` loads no layer (and so neither
-numpy nor scipy).  The first access to an exported name, or to one of the
+The namespace is lazy: `import berezin` loads no layer (and so no
+numpy).  The first access to an exported name, or to one of the
 layer modules below, imports its home module and caches the name here.
 """
 

@@ -11,15 +11,18 @@ operator form follows from the ladder factorization H = 2*zbar_hat*z_hat + h
 with z_hat = (x_hat + i*p_hat)/sqrt(2) and p_hat = -i*d/dx.
 
 The grid is symmetric about 0, so the operator splits into an even and an
-odd block on its non-negative half.  Every off-diagonal is -1/dx^2, so the
-eigenvector of level j has exactly j sign changes (oscillation theorem for
-Jacobi matrices), hence parity (-1)^j: `spectrum` finds the even levels in
-one block and the odd levels in the other, two bisections over about N/2
-rows, at about half the cost of one over all N.  h enters H only as a
-multiple of the identity, so those bisections solve the h-free operator
-x^2 - d^2/dx^2 once per (grid, levels), kept in a memo of 16 pairs, and
-every call shifts the result by h - 1 and scales it by dim: about 3.3 ms
-for the first call at N = 4001, about 10 us for a repeat.
+odd block on its non-negative half, the even block holding the even levels
+and the odd block the odd ones.  h enters H only as a multiple of the
+identity, so the h-free operator x^2 - d^2/dx^2 is solved once per (grid,
+levels), kept in a memo of 16 pairs, and every call shifts the result by
+h - 1 and scales it by dim.  The solve uses numpy and plain Python only:
+each level of a block is bracketed by counts of negative LDL^T pivots
+(Sturm counts), reached by safeguarded Newton steps on log|det(T - x)|
+from a seed, and pinned by bisection on the counts to the double where the
+count changes.  The seeds are the levels of a second, spectrally accurate
+route: Fourier collocation of x^2 - d^2/dx^2 (Trefethen's Program 8), which
+`verify` also checks against 2j + h.  A first call of 4 levels takes
+about 9 ms at N = 2000 and 12-15 ms at N = 4001; a repeat about 10 us.
 
 The uncertainty functions work with the compressed Gaussian state
 psi = K * exp(-lam*x^2 / (2*(1+lam))) and second moments taken against the
@@ -90,6 +93,148 @@ def _warn_if_coarse(grid: GridSpec) -> None:
         )
 
 
+_COLLOCATION_NODES = 63
+_COLLOCATION_HALF_WIDTH = 10.0
+_SEED_LEVELS = 12  # the 10 levels `spectrum` accepts, and one above the highest of each block
+_NEWTON_STEPS = 8
+_EPS = sys.float_info.epsilon
+
+
+def _fourier_derivative(nodes: int, half_width: float) -> np.ndarray:
+    """The periodic Fourier differentiation matrix D1 on an odd number of points of [-L, L).
+
+    Trefethen, Spectral Methods in MATLAB (SIAM, 2000), ch. 3: 0 on the
+    diagonal and (-1)^(j-k) / (2 sin((j-k) pi / nodes)) * pi / L off it.
+    """
+    offset = np.subtract.outer(np.arange(nodes), np.arange(nodes))
+    with np.errstate(divide="ignore"):  # on the diagonal, which is set to 0 below
+        d1 = np.where(offset % 2, -0.5, 0.5) / np.sin(offset * (math.pi / nodes)) * (math.pi / half_width)
+    np.fill_diagonal(d1, 0.0)
+    return d1
+
+
+@functools.cache
+def _collocation_levels() -> np.ndarray:
+    """The lowest 12 eigenvalues of x^2 - d^2/dx^2 by Fourier collocation, ascending and read-only.
+
+    Trefethen's Program 8: numpy.linalg.eigvalsh(diag(x^2) - D1 @ D1) on 63
+    periodic points of [-10, 10), about 0.5 ms once per process.  They are
+    2j + 1 to about 7e-14: the eigenstates decay like exp(-x^2/2), so
+    neither the periodic box nor the truncation shows at double precision.
+    The point count is odd because at an even count D1 annihilates the
+    sawtooth mode, and -D1 @ D1 gains a spurious level near L^2/3 (20.5 at
+    N = 48, L = 8, among the levels served).  These levels seed the
+    finite-difference solve and give `verify` a second route to 2j + h.
+    """
+    nodes, half_width = _COLLOCATION_NODES, _COLLOCATION_HALF_WIDTH
+    d1 = _fourier_derivative(nodes, half_width)
+    x = half_width * (2.0 * np.arange(1, nodes + 1) / nodes - 1.0)
+    levels = np.linalg.eigvalsh(np.diag(x * x) - d1 @ d1)[:_SEED_LEVELS]
+    levels.flags.writeable = False
+    return levels
+
+
+def _negative_pivots(rows: list, x: float) -> int:
+    """How many levels lie below x: the negative pivots d_i of T - x = L D L^T.
+
+    Each row is (a_i, b_{i-1}^2), and d_i = a_i - x - b_{i-1}^2 / d_{i-1}
+    (Barth, Martin & Wilkinson, Numer. Math. 9, 1967); a zero pivot counts
+    as negative.  `_newton_pass` forms each pivot by the same operations, so
+    the two agree on every count; this pass, without the slope, costs about
+    half as much.
+    """
+    pivot, below = 1.0, 0
+    for a, b2 in rows:
+        pivot = a - x - b2 / pivot
+        if pivot == 0.0:
+            pivot = -sys.float_info.min
+        if pivot < 0.0:
+            below += 1
+    return below
+
+
+def _newton_pass(rows: list, x: float) -> tuple[int, float]:
+    """`_negative_pivots` at x, and d/dx log|det(T - x)| = sum of d_i' / d_i from the same pass."""
+    pivot, ratio, slope, below = 1.0, 0.0, 0.0, 0
+    for a, b2 in rows:
+        coupling = b2 / pivot
+        pivot = a - x - coupling
+        if pivot == 0.0:
+            pivot = -sys.float_info.min
+        if pivot < 0.0:
+            below += 1
+        ratio = (coupling * ratio - 1.0) / pivot  # d_i' = -1 + (b^2 / d_{i-1}) * (d_{i-1}' / d_{i-1})
+        slope += ratio
+    return below, slope
+
+
+def _block_levels(diagonal: np.ndarray, off_diagonal: np.ndarray, seeds: np.ndarray) -> list[float]:
+    """The len(seeds) - 1 lowest eigenvalues of a symmetric tridiagonal block, ascending.
+
+    seeds[i] estimates level i.  The block is scaled by a power of two to
+    entries below 1/4, so no b^2 leaves the double range and every level
+    lies in (-2, 2), where the counts are 0 and the row count (Gershgorin).
+    The count at the midpoint of seeds i and i + 1 says whether it parts
+    levels i and i + 1; from these counts each level gets a bracket.
+    """
+    exponent = math.frexp(max(float(np.abs(diagonal).max()), float(np.abs(off_diagonal).max(initial=0.0))))[1] + 2
+    scale = math.ldexp(1.0, -exponent)
+    off_diagonal = off_diagonal * scale
+    rows = list(zip((diagonal * scale).tolist(), [0.0] + (off_diagonal * off_diagonal).tolist()))
+    seeds = (seeds * scale).tolist()  # Python floats: numpy scalars slow each pass threefold
+    counts = {-2.0: 0, 2.0: len(rows)}
+    for left, right in zip(seeds[:-1], seeds[1:]):
+        x = 0.5 * (left + right)
+        if -2.0 < x < 2.0:
+            counts[x] = _negative_pivots(rows, x)
+    levels = []
+    for j, seed in enumerate(seeds[:-1]):
+        lo = max(x for x, below in counts.items() if below <= j)
+        hi = min(x for x, below in counts.items() if below > j)
+        levels.append(_isolated_level(rows, j, (lo, counts[lo]), (hi, counts[hi]), seed) / scale)  # inf on overflow
+    return levels
+
+
+def _isolated_level(rows: list, j: int, lower: tuple, upper: tuple, seed: float) -> float:
+    """Level j of a scaled block, from lower = (lo, count(lo)) and upper = (hi, count(hi)) around it.
+
+    Bisection first cuts [lo, hi] until count(lo) = j and count(hi) = j + 1.
+    Newton steps on log|det(T - x)| then start from the seed, or from the
+    midpoint if the seed lies outside, and each pass moves lo or hi by its
+    count; a step that leaves the bracket is replaced by a bisection step.
+    Once a step is below round-off, the count changes within about one
+    epsilon of x (at most 0.71 eps, measured at N = 400 to 4001), so counts
+    at x -+ 2 eps narrow the bracket, and bisection ends it at two adjacent
+    doubles.  The level is lo, the largest double whose count is j: a point
+    fixed by the counts alone, whatever the seed or the Newton path.
+    """
+    (lo, below_lo), (hi, below_hi) = lower, upper
+    while below_lo < j or below_hi > j + 1:
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:  # two levels within one double's spacing
+            break
+        below = _negative_pivots(rows, x)
+        if below <= j:
+            lo, below_lo = x, below
+        else:
+            hi, below_hi = x, below
+    x = seed if lo < seed < hi else 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        below, slope = _newton_pass(rows, x)
+        lo, hi = (x, hi) if below <= j else (lo, x)
+        if abs(slope) * _EPS >= 1.0:  # the step 1 / slope is below round-off
+            break
+        x = x - 1.0 / slope if slope else hi
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    for x in (x - 2.0 * _EPS, x + 2.0 * _EPS):
+        if lo < x < hi:
+            lo, hi = (x, hi) if _negative_pivots(rows, x) <= j else (lo, x)
+    while lo < (x := 0.5 * (lo + hi)) < hi:
+        lo, hi = (x, hi) if _negative_pivots(rows, x) <= j else (lo, x)
+    return lo
+
+
 @functools.lru_cache(maxsize=16)
 def _unit_levels(grid: GridSpec, levels: int) -> np.ndarray:
     """The lowest `levels` eigenvalues of x^2 - d^2/dx^2 on `grid`, ascending and read-only.
@@ -100,12 +245,15 @@ def _unit_levels(grid: GridSpec, levels: int) -> np.ndarray:
     -1/dx^2, so the eigenvector of level j has exactly j sign changes
     (oscillation theorem for Jacobi matrices) and parity (-1)^j: the even
     block holds levels 0, 2, 4, ... and the odd block levels 1, 3, 5, ...
-    Two half-size bisections cost about half of one over all N rows.
-    Every refusal is an exception, so a refused grid is never kept.
+    `_block_levels` solves each block from the collocation levels of the
+    same parity, by about 22 passes a level over its N/2 rows: about 19
+    Sturm counts at 0.06-0.1 us a row and 3 Newton passes at 0.12-0.2 us a
+    row on a 2-vCPU VM.  That is about 1 us times N a level, the ceiling on
+    `points`: N = 10^6 would cost about 1 s a level.  Measured first solves
+    of 4 levels: 6-9 ms at N = 2000 and 12-15 ms at N = 4001; of 10 levels,
+    about 14 ms and 28-42 ms.  Every refusal is an exception, so a refused
+    grid is never kept.
     """
-    # imported here so that importing the package does not load scipy
-    from scipy.linalg import eigvalsh_tridiagonal
-
     x, dx = grid.coordinates()
     at = f"half_width={grid.half_width!r}, points={grid.points!r}"
     try:
@@ -127,14 +275,13 @@ def _unit_levels(grid: GridSpec, levels: int) -> np.ndarray:
                 odd = (diagonal - mirror, off_diagonal)
     except (OverflowError, ZeroDivisionError) as exc:  # dx**2 beyond the double range, or 0
         raise NumericContractError(f"grid spacing {dx!r} squares out of the double range at {at}") from exc
-    blocks = ((*even, (levels + 1) // 2), (*odd, levels // 2))
+    seeds = _collocation_levels()
+    # level j of the operator is level j // 2 of its parity's block, and a
+    # block takes one seed more than the levels it solves for
+    blocks = ((*even, seeds[0::2][: (levels + 1) // 2 + 1]), (*odd, seeds[1::2][: levels // 2 + 1]))
     if not all(np.all(np.isfinite(d)) and np.all(np.isfinite(e)) for d, e, _ in blocks):
         raise NumericContractError(f"the difference operator is not finite at {at}")
-    values = np.sort(
-        np.concatenate(
-            [eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1)) for d, e, count in blocks if count]
-        )
-    )
+    values = np.sort(np.array([level for d, e, s in blocks if s.size > 1 for level in _block_levels(d, e, s)]))
     if not np.all(np.isfinite(values)):
         raise NumericContractError(f"the solve returned non-finite levels at {at}")
     values.flags.writeable = False
@@ -153,8 +300,12 @@ def spectrum(spec: OscillatorSpec, grid: GridSpec, levels: int) -> np.ndarray:
     scaled by dim.  The h-free levels are solved once per (grid, levels)
     and kept in a memo of the last 16 pairs, about 10 doubles each; every
     call, the first included, forms dim * (levels + (h - 1)) from them, so
-    a result does not depend on what was solved before.  At N = 4001 a
-    first call takes about 3.3 ms and a repeat about 10 us.
+    a result does not depend on what was solved before.  The solve is
+    Sturm-count bisection and Newton steps in plain Python, seeded by
+    Fourier collocation (see `_unit_levels`): a first call of 4 levels
+    takes about 9 ms at N = 2000 and 12-15 ms at N = 4001, and a repeat
+    about 10 us.  The cost grows as about 1 us times N a level, which is
+    the practical ceiling on `points`.
     """
     levels = _integer("levels", levels, 1, 10)
     if levels > grid.points:

@@ -3,9 +3,10 @@
 Each suite re-derives a closed-form claim through an independent route
 (Gauss-Hermite quadrature for the transform, its first order in 1/alpha, the
 trace and the uncertainty moments; Monte-Carlo sampling; finite-difference
-spectra; exact polynomial algebra) and reports uniform checks: a check
-passes when `value <= bound`.  Everything is deterministic for a fixed
-seed, so two identical runs produce identical reports.
+and Fourier-collocation spectra; exact polynomial algebra) and reports
+uniform checks: a check passes when `value <= bound`.  Everything is
+deterministic for a fixed seed, so two identical runs produce identical
+reports.
 
 Each closed form with a quadrature oracle has one check function, used both
 by its suite (which keeps the worst check over a grid) and by the CLI
@@ -233,6 +234,7 @@ def _suite_spectrum(seed: int) -> list[CheckResult]:
     checks = []
     coarse = oscillator.GridSpec(half_width=10.0, points=2000)
     fine = oscillator.GridSpec(half_width=10.0, points=4001)  # halves the spacing
+    collocation = oscillator._collocation_levels()[:10]  # every level `spectrum` accepts
     for h in (0.5, 1.0):
         spec = oscillator.OscillatorSpec(dim=1, h=h)
         exact = 2.0 * np.arange(4) + h
@@ -243,6 +245,9 @@ def _suite_spectrum(seed: int) -> list[CheckResult]:
         ratio = float((err_coarse / err_fine).max())
         worst = max(abs(ratio - 4.0), abs(float((err_coarse / err_fine).min()) - 4.0))
         checks.append(CheckResult("spectrum", f"second-order convergence at h={h}", worst, 0.5))
+        exact_all = 2.0 * np.arange(10) + h
+        deviation = float(np.max(np.abs(collocation + (h - 1.0) - exact_all) / exact_all))
+        checks.append(CheckResult("spectrum", f"collocation levels match 2j+h at h={h}", deviation, 1e-12))
     return checks
 
 

@@ -102,17 +102,30 @@ class TestStartup:
         assert tuple(suite.choices) == tuple(verify.SUITES) + ("all",)
 
     def test_import_loads_no_scipy(self):
-        # scipy is loaded by oscillator.spectrum on its first call, not at import
+        # the package runs on numpy alone: neither the import nor a spectrum solve loads scipy
         probe = (
             "import sys, numpy as np, berezin.cli\n"
             "assert 'scipy' not in sys.modules, 'import berezin.cli loaded scipy'\n"
             "from berezin import GridSpec, OscillatorSpec, spectrum\n"
             "values = spectrum(OscillatorSpec(dim=1, h=1.0), GridSpec(half_width=10.0, points=2000), levels=4)\n"
             "assert np.abs(values - (2.0 * np.arange(4) + 1.0)).max() < 1e-3, values\n"
-            "assert 'scipy.linalg' in sys.modules\n"
+            "assert 'scipy' not in sys.modules, 'spectrum loaded scipy'\n"
         )
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_verify_runs_with_scipy_blocked(self):
+        # with scipy unimportable, every suite still runs and passes
+        probe = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "sys.argv = ['berezin', 'verify', '--suite', 'all']\n"
+            "import berezin.cli\n"
+            "berezin.cli.entry()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "all suites passed" in proc.stderr
 
 
 class TestParsers:
@@ -600,6 +613,13 @@ class TestVerifyCommand:
         _, first, _ = run_cli(capsys, "verify", "--suite", "expansion", "--seed", "3")
         _, second, _ = run_cli(capsys, "verify", "--suite", "expansion", "--seed", "3")
         assert first == second
+
+    def test_all_suites_byte_identical_across_processes(self):
+        # each process solves the spectrum afresh, so no memo carries a result across
+        argv = [sys.executable, "-m", "berezin", "verify", "--suite", "all", "--seed", "7"]
+        first, second = (subprocess.run(argv, capture_output=True) for _ in range(2))
+        assert first.returncode == 0, first.stderr
+        assert first.stdout == second.stdout
 
     def test_expansion_check_compares_the_quadrature_oracle_with_the_first_order(self, monkeypatch):
         from berezin import gaussian_calculus, quadrature

@@ -14,16 +14,39 @@ from berezin import (
     GridSpec,
     OscillatorSpec,
     UncertaintyReport,
+    oscillator,
     spectrum,
     uncertainty_quadrature,
     uncertainty_report,
     verify,
 )
-from berezin.oscillator import _unit_levels
+from berezin.oscillator import _collocation_levels, _unit_levels
 from berezin.quadrature import NumericContractError
 
 GRID = GridSpec(half_width=10.0, points=2000)
 FINE_GRID = GridSpec(half_width=10.0, points=4001)  # halves the spacing
+
+
+def sturm_bisection_levels(diagonal, off_diagonal, levels):
+    """The lowest `levels` eigenvalues of a symmetric tridiagonal matrix: bisection on
+    Sturm counts from the Gershgorin interval down to adjacent doubles, no seeds, no Newton."""
+    rows = list(zip(diagonal.tolist(), [0.0] + (off_diagonal * off_diagonal).tolist()))
+
+    def below(x):
+        pivot, count = 1.0, 0
+        for a, b2 in rows:
+            pivot = (a - x - b2 / pivot) or -sys.float_info.min
+            count += pivot < 0.0
+        return count
+
+    radius = float(np.abs(diagonal).max() + 2.0 * np.abs(off_diagonal).max())
+    values = []
+    for j in range(levels):
+        lo, hi = -radius, radius
+        while lo < (x := 0.5 * (lo + hi)) < hi:
+            lo, hi = (x, hi) if below(x) <= j else (lo, x)
+        values.append(lo)
+    return np.array(values)
 
 
 class TestSpectrum:
@@ -80,50 +103,61 @@ class TestSpectrum:
         with pytest.raises(NumericContractError, match=re.escape(named)):
             spectrum(OscillatorSpec(1, 1.0), GridSpec(half_width, 2000), 4)
 
+    @pytest.mark.parametrize("half_width", [1e-80, 1e-150])
+    @pytest.mark.filterwarnings("ignore:grid .* is below the spectral-claim resolution")
+    def test_tiny_box_levels_are_the_difference_laplacian_levels(self, half_width):
+        # x^2 is below 1e-300 of 1/dx^2 here, and b^2 = 1/dx^4 is beyond the double range
+        # unless the solve scales the block; the levels are those of the three-point
+        # Laplacian, 4/dx^2 sin^2(k pi / (2(N + 1))), to about eps * 4/dx^2 absolute
+        grid = GridSpec(half_width, 2000)
+        _, dx = grid.coordinates()
+        k = np.arange(1, 5)
+        box = 4.0 / dx**2 * np.sin(k * np.pi / (2 * (grid.points + 1))) ** 2
+        np.testing.assert_allclose(spectrum(OscillatorSpec(), grid, 4), box, rtol=1e-9)
+
     def test_non_finite_levels_are_named(self, monkeypatch):
         # the levels dim * (2j + h) overflow at dim 2
         with pytest.raises(NumericContractError, match=re.escape("dim=2, h=1e+308, half_width=10.0, points=2000")):
             spectrum(OscillatorSpec(2, 1e308), GRID, 2)
         # a solve that returns a non-finite value is refused, not returned
-        import scipy.linalg
-
         _unit_levels.cache_clear()  # a kept solve of GRID would bypass the patched solver
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", lambda *args, **kwargs: np.array([1.0, np.nan]))
+        monkeypatch.setattr(oscillator, "_block_levels", lambda *args: [1.0, np.nan])
         with pytest.raises(NumericContractError, match=re.escape("half_width=10.0, points=2000")):
             spectrum(OscillatorSpec(), GRID, 2)
 
     def test_more_levels_than_points_are_named(self):
-        # scipy refused select_range=(0, 3) on 3 rows without naming a parameter
+        # the operator on 3 points has 3 levels; the refusal names both numbers
         with pytest.raises(ValueError, match=re.escape("levels=4 exceeds the grid's points=3")):
             spectrum(OscillatorSpec(), GridSpec(10.0, 3), 4)
 
     @pytest.mark.parametrize("points", [3, 4, 5, 6, 400, 2000, 4001])
     @pytest.mark.filterwarnings("ignore:grid .* is below the spectral-claim resolution")
     def test_split_solve_matches_the_full_operator(self, points):
-        from scipy.linalg import eigvalsh_tridiagonal
-
+        # the reference solves all N rows, unsplit: dense eigvalsh where N^3 is cheap,
+        # plain Sturm-count bisection beyond
         grid = GridSpec(10.0, points)
         x, dx = grid.coordinates()
         for h in (0.5, 1.0, 1.3):
             diagonal = x * x + 2.0 / dx**2 + (h - 1.0)
             off_diagonal = np.full(points - 1, -1.0 / dx**2)
+            if points <= 400:
+                full = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
+            else:
+                full = sturm_bisection_levels(diagonal, off_diagonal, 10)
             for levels in range(1, min(10, points) + 1):
-                full = eigvalsh_tridiagonal(diagonal, off_diagonal, select="i", select_range=(0, levels - 1))
                 split = spectrum(OscillatorSpec(1, h), grid, levels)
-                assert np.max(np.abs(split - full) / np.abs(full)) <= 1e-10, (h, levels)
+                assert np.max(np.abs(split - full[:levels]) / np.abs(full[:levels])) <= 1e-10, (h, levels)
 
     @pytest.mark.parametrize("points", [2000, 4001])
     def test_one_call_solves_two_half_blocks(self, monkeypatch, points):
-        import scipy.linalg
+        solve, rows = oscillator._block_levels, []
 
-        solve, rows = scipy.linalg.eigvalsh_tridiagonal, []
-
-        def counting(diagonal, *args, **kwargs):
+        def counting(diagonal, *args):
             rows.append(len(diagonal))
-            return solve(diagonal, *args, **kwargs)
+            return solve(diagonal, *args)
 
         _unit_levels.cache_clear()  # a kept solve would bypass the counting solver
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", counting)
+        monkeypatch.setattr(oscillator, "_block_levels", counting)
         spectrum(OscillatorSpec(), GridSpec(10.0, points), 4)
         assert rows == [(points + 1) // 2, points // 2]
         rows.clear()
@@ -159,20 +193,60 @@ class TestSpectrum:
         assert _unit_levels.cache_info().currsize == bound
 
     def test_non_finite_solve_is_not_kept(self, monkeypatch):
-        import scipy.linalg
-
         _unit_levels.cache_clear()
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", lambda *args, **kwargs: np.array([np.inf]))
+        monkeypatch.setattr(oscillator, "_block_levels", lambda *args: [np.inf])
         for _ in range(2):
             with pytest.raises(NumericContractError, match=re.escape("half_width=10.0, points=2000")):
                 spectrum(OscillatorSpec(), GRID, 2)
         assert _unit_levels.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("seeds", ["zeros", "reversed"])
+    @pytest.mark.filterwarnings("ignore:grid .* is below the spectral-claim resolution")
+    def test_levels_do_not_depend_on_the_seeds(self, monkeypatch, seeds):
+        # seeds far off leave the work to the counts' brackets and to bisection, and
+        # each level is still the largest double whose count is j
+        grids = [GridSpec(10.0, points) for points in (3, 4, 5, 6)] + [GRID]
+        cases = [(grid, levels) for grid in grids for levels in range(1, min(10, grid.points) + 1)]
+        _unit_levels.cache_clear()
+        expected = [_unit_levels(grid, levels) for grid, levels in cases]
+        good = _collocation_levels()
+        wrong = np.zeros_like(good) if seeds == "zeros" else good[::-1].copy()
+        monkeypatch.setattr(oscillator, "_collocation_levels", lambda: wrong)
+        _unit_levels.cache_clear()
+        for (grid, levels), want in zip(cases, expected):
+            assert np.array_equal(_unit_levels(grid, levels), want), (grid, levels)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(half_width=10.0, points=2)
         with pytest.raises(ValueError):
             GridSpec(half_width=0.0, points=100)
+
+
+class TestCollocation:
+    @pytest.mark.parametrize("j", range(10))
+    def test_level_is_2j_plus_1(self, j):
+        assert _collocation_levels()[j] == pytest.approx(2 * j + 1, rel=1e-12)
+
+    def test_verify_check_fails_without_the_signs(self, monkeypatch):
+        # dropping only the factor (-1)^(j-k) conjugates D1 by diag((-1)^j) and keeps
+        # every level; dropping every sign, antisymmetry included, does not
+        derivative = oscillator._fourier_derivative
+        checks = verify.run_suites("spectrum")
+        assert all(c.passed for c in checks)
+        monkeypatch.setattr(oscillator, "_fourier_derivative", lambda *args: np.abs(derivative(*args)))
+        _collocation_levels.cache_clear()
+        _unit_levels.cache_clear()
+        try:
+            broken = verify.run_suites("spectrum")
+        finally:
+            _collocation_levels.cache_clear()
+            _unit_levels.cache_clear()
+        collocation = [c for c in broken if c.name.startswith("collocation")]
+        assert len(collocation) == 2 and not any(c.passed for c in collocation)
+        # the finite-difference levels, seeded by the broken ones, do not move
+        finite_difference = [c for c in checks if not c.name.startswith("collocation")]
+        assert [c for c in broken if c not in collocation] == finite_difference
 
 
 class TestUncertainty:
