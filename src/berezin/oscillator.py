@@ -16,13 +16,13 @@ and the odd block the odd ones.  h enters H only as a multiple of the
 identity, so the h-free operator x^2 - d^2/dx^2 is solved once per (grid,
 levels), kept in a memo of 16 pairs, and every call shifts the result by
 h - 1 and scales it by dim.  The solve uses numpy and plain Python only:
-each level of a block is bracketed by counts of negative LDL^T pivots
-(Sturm counts), reached by safeguarded Newton steps on log|det(T - x)|
-from a seed, and pinned by bisection on the counts to the double where the
-count changes.  The seeds are the levels of a second, spectrally accurate
-route: Fourier collocation of x^2 - d^2/dx^2 (Trefethen's Program 8), which
-`verify` also checks against 2j + h.  A first call of 4 levels takes
-about 9 ms at N = 2000 and 12-15 ms at N = 4001; a repeat about 10 us.
+each level of a block starts from the block's Gershgorin bracket, which
+counts of negative LDL^T pivots (Sturm counts) narrow, is reached by
+safeguarded Newton steps on log|det(T - x)| from a seed, and is pinned by
+bisection on the counts to the double where the count changes.  The seeds
+are the levels of a second, spectrally accurate route: Fourier collocation
+of x^2 - d^2/dx^2 (Trefethen's Program 8), which `verify` also checks
+against 2j + h.
 
 The uncertainty functions work with the compressed Gaussian state
 psi = K * exp(-lam*x^2 / (2*(1+lam))) and second moments taken against the
@@ -95,7 +95,7 @@ def _warn_if_coarse(grid: GridSpec) -> None:
 
 _COLLOCATION_NODES = 63
 _COLLOCATION_HALF_WIDTH = 10.0
-_SEED_LEVELS = 12  # the 10 levels `spectrum` accepts, and one above the highest of each block
+_SEED_LEVELS = 10  # the levels `spectrum` accepts
 _NEWTON_STEPS = 8
 _EPS = sys.float_info.epsilon
 
@@ -115,7 +115,7 @@ def _fourier_derivative(nodes: int, half_width: float) -> np.ndarray:
 
 @functools.cache
 def _collocation_levels() -> np.ndarray:
-    """The lowest 12 eigenvalues of x^2 - d^2/dx^2 by Fourier collocation, ascending and read-only.
+    """The lowest 10 eigenvalues of x^2 - d^2/dx^2 by Fourier collocation, ascending and read-only.
 
     Trefethen's Program 8: numpy.linalg.eigvalsh(diag(x^2) - D1 @ D1) on 63
     periodic points of [-10, 10), about 0.5 ms once per process.  They are
@@ -169,56 +169,35 @@ def _newton_pass(rows: list, x: float) -> tuple[int, float]:
 
 
 def _block_levels(diagonal: np.ndarray, off_diagonal: np.ndarray, seeds: np.ndarray) -> list[float]:
-    """The len(seeds) - 1 lowest eigenvalues of a symmetric tridiagonal block, ascending.
+    """The len(seeds) lowest eigenvalues of a symmetric tridiagonal block, ascending.
 
-    seeds[i] estimates level i.  The block is scaled by a power of two to
+    seeds[j] estimates level j.  The block is scaled by a power of two to
     entries below 1/4, so no b^2 leaves the double range and every level
     lies in (-2, 2), where the counts are 0 and the row count (Gershgorin).
-    The count at the midpoint of seeds i and i + 1 says whether it parts
-    levels i and i + 1; from these counts each level gets a bracket.
     """
     exponent = math.frexp(max(float(np.abs(diagonal).max()), float(np.abs(off_diagonal).max(initial=0.0))))[1] + 2
     scale = math.ldexp(1.0, -exponent)
     off_diagonal = off_diagonal * scale
     rows = list(zip((diagonal * scale).tolist(), [0.0] + (off_diagonal * off_diagonal).tolist()))
     seeds = (seeds * scale).tolist()  # Python floats: numpy scalars slow each pass threefold
-    counts = {-2.0: 0, 2.0: len(rows)}
-    for left, right in zip(seeds[:-1], seeds[1:]):
-        x = 0.5 * (left + right)
-        if -2.0 < x < 2.0:
-            counts[x] = _negative_pivots(rows, x)
-    levels = []
-    for j, seed in enumerate(seeds[:-1]):
-        lo = max(x for x, below in counts.items() if below <= j)
-        hi = min(x for x, below in counts.items() if below > j)
-        levels.append(_isolated_level(rows, j, (lo, counts[lo]), (hi, counts[hi]), seed) / scale)  # inf on overflow
-    return levels
+    return [_level(rows, j, seed) / scale for j, seed in enumerate(seeds)]  # inf on overflow
 
 
-def _isolated_level(rows: list, j: int, lower: tuple, upper: tuple, seed: float) -> float:
-    """Level j of a scaled block, from lower = (lo, count(lo)) and upper = (hi, count(hi)) around it.
+def _level(rows: list, j: int, seed: float) -> float:
+    """Level j of a scaled block: the largest double whose count is at most j.
 
-    Bisection first cuts [lo, hi] until count(lo) = j and count(hi) = j + 1.
-    Newton steps on log|det(T - x)| then start from the seed, or from the
-    midpoint if the seed lies outside, and each pass moves lo or hi by its
-    count; a step that leaves the bracket is replaced by a bisection step.
-    Once a step is below round-off, the count changes within about one
-    epsilon of x (at most 0.71 eps, measured at N = 400 to 4001), so counts
-    at x -+ 2 eps narrow the bracket, and bisection ends it at two adjacent
-    doubles.  The level is lo, the largest double whose count is j: a point
-    fixed by the counts alone, whatever the seed or the Newton path.
+    The bracket [lo, hi] starts at (-2, 2), where count(lo) <= j < count(hi).
+    Newton steps on log|det(T - x)| start from the seed, or from 0 if the
+    seed lies outside, and each pass moves lo or hi by its count; a step
+    that leaves the bracket is replaced by a bisection step.  Once a step is
+    below round-off, the count changes within about one epsilon of x (at
+    most 0.71 eps, measured at N = 400 to 4001), so counts at x -+ 2 eps
+    narrow the bracket, and bisection ends it at two adjacent doubles.  The
+    level is lo: a point fixed by the counts alone, whatever the seed or the
+    Newton path.
     """
-    (lo, below_lo), (hi, below_hi) = lower, upper
-    while below_lo < j or below_hi > j + 1:
-        x = 0.5 * (lo + hi)
-        if not lo < x < hi:  # two levels within one double's spacing
-            break
-        below = _negative_pivots(rows, x)
-        if below <= j:
-            lo, below_lo = x, below
-        else:
-            hi, below_hi = x, below
-    x = seed if lo < seed < hi else 0.5 * (lo + hi)
+    lo, hi = -2.0, 2.0
+    x = seed if lo < seed < hi else 0.0
     for _ in range(_NEWTON_STEPS):
         below, slope = _newton_pass(rows, x)
         lo, hi = (x, hi) if below <= j else (lo, x)
@@ -246,13 +225,12 @@ def _unit_levels(grid: GridSpec, levels: int) -> np.ndarray:
     (oscillation theorem for Jacobi matrices) and parity (-1)^j: the even
     block holds levels 0, 2, 4, ... and the odd block levels 1, 3, 5, ...
     `_block_levels` solves each block from the collocation levels of the
-    same parity, by about 22 passes a level over its N/2 rows: about 19
-    Sturm counts at 0.06-0.1 us a row and 3 Newton passes at 0.12-0.2 us a
-    row on a 2-vCPU VM.  That is about 1 us times N a level, the ceiling on
-    `points`: N = 10^6 would cost about 1 s a level.  Measured first solves
-    of 4 levels: 6-9 ms at N = 2000 and 12-15 ms at N = 4001; of 10 levels,
-    about 14 ms and 28-42 ms.  Every refusal is an exception, so a refused
-    grid is never kept.
+    same parity, in passes over each block's N/2 rows: a cold solve of 4
+    levels at N = 4001 takes 90 passes, 11-12 ms on a 2-vCPU Xeon VM (min
+    of 15), and a repeat from the memo about 11 us.  The cost grows as N,
+    the practical ceiling on `points`.  The operator is positive definite,
+    so a level that is not positive is round-off and is refused.  Every
+    refusal is an exception, so a refused grid is never kept.
     """
     x, dx = grid.coordinates()
     at = f"half_width={grid.half_width!r}, points={grid.points!r}"
@@ -276,14 +254,13 @@ def _unit_levels(grid: GridSpec, levels: int) -> np.ndarray:
     except (OverflowError, ZeroDivisionError) as exc:  # dx**2 beyond the double range, or 0
         raise NumericContractError(f"grid spacing {dx!r} squares out of the double range at {at}") from exc
     seeds = _collocation_levels()
-    # level j of the operator is level j // 2 of its parity's block, and a
-    # block takes one seed more than the levels it solves for
-    blocks = ((*even, seeds[0::2][: (levels + 1) // 2 + 1]), (*odd, seeds[1::2][: levels // 2 + 1]))
+    # level j of the operator is level j // 2 of its parity's block
+    blocks = ((*even, seeds[0::2][: (levels + 1) // 2]), (*odd, seeds[1::2][: levels // 2]))
     if not all(np.all(np.isfinite(d)) and np.all(np.isfinite(e)) for d, e, _ in blocks):
         raise NumericContractError(f"the difference operator is not finite at {at}")
-    values = np.sort(np.array([level for d, e, s in blocks if s.size > 1 for level in _block_levels(d, e, s)]))
-    if not np.all(np.isfinite(values)):
-        raise NumericContractError(f"the solve returned non-finite levels at {at}")
+    values = np.sort(np.array([level for d, e, s in blocks if s.size for level in _block_levels(d, e, s)]))
+    if not np.all((values > 0.0) & (values < math.inf)):  # x^2 - d^2/dx^2 is positive definite
+        raise NumericContractError(f"the solve returned levels {values.tolist()!r}, not positive and finite, at {at}")
     values.flags.writeable = False
     return values
 
@@ -301,11 +278,8 @@ def spectrum(spec: OscillatorSpec, grid: GridSpec, levels: int) -> np.ndarray:
     and kept in a memo of the last 16 pairs, about 10 doubles each; every
     call, the first included, forms dim * (levels + (h - 1)) from them, so
     a result does not depend on what was solved before.  The solve is
-    Sturm-count bisection and Newton steps in plain Python, seeded by
-    Fourier collocation (see `_unit_levels`): a first call of 4 levels
-    takes about 9 ms at N = 2000 and 12-15 ms at N = 4001, and a repeat
-    about 10 us.  The cost grows as about 1 us times N a level, which is
-    the practical ceiling on `points`.
+    Sturm counts and Newton steps in plain Python, seeded by Fourier
+    collocation; `_unit_levels` gives its cost.
     """
     levels = _integer("levels", levels, 1, 10)
     if levels > grid.points:

@@ -234,7 +234,7 @@ def _suite_spectrum(seed: int) -> list[CheckResult]:
     checks = []
     coarse = oscillator.GridSpec(half_width=10.0, points=2000)
     fine = oscillator.GridSpec(half_width=10.0, points=4001)  # halves the spacing
-    collocation = oscillator._collocation_levels()[:10]  # every level `spectrum` accepts
+    collocation = oscillator._collocation_levels()  # every level `spectrum` accepts
     for h in (0.5, 1.0):
         spec = oscillator.OscillatorSpec(dim=1, h=h)
         exact = 2.0 * np.arange(4) + h

@@ -200,21 +200,90 @@ class TestSpectrum:
                 spectrum(OscillatorSpec(), GRID, 2)
         assert _unit_levels.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("seeds", ["zeros", "reversed"])
+    @pytest.mark.parametrize("seeds", ["zeros", "reversed", "nan", "shifted"])
     @pytest.mark.filterwarnings("ignore:grid .* is below the spectral-claim resolution")
     def test_levels_do_not_depend_on_the_seeds(self, monkeypatch, seeds):
         # seeds far off leave the work to the counts' brackets and to bisection, and
-        # each level is still the largest double whose count is j
+        # each level is still the largest double whose count is j; a nan seed lies
+        # outside every bracket, so Newton starts at 0
         grids = [GridSpec(10.0, points) for points in (3, 4, 5, 6)] + [GRID]
         cases = [(grid, levels) for grid in grids for levels in range(1, min(10, grid.points) + 1)]
         _unit_levels.cache_clear()
         expected = [_unit_levels(grid, levels) for grid, levels in cases]
         good = _collocation_levels()
-        wrong = np.zeros_like(good) if seeds == "zeros" else good[::-1].copy()
+        wrong = {
+            "zeros": np.zeros_like(good),
+            "reversed": good[::-1].copy(),
+            "nan": np.full_like(good, np.nan),
+            "shifted": good + 1.0,
+        }[seeds]
         monkeypatch.setattr(oscillator, "_collocation_levels", lambda: wrong)
         _unit_levels.cache_clear()
         for (grid, levels), want in zip(cases, expected):
             assert np.array_equal(_unit_levels(grid, levels), want), (grid, levels)
+
+    @pytest.mark.parametrize(
+        "grid, levels, pinned",
+        [
+            (
+                GRID,
+                10,
+                "0x1.ffff2e7e35fffp-1 0x1.7ffefa1d70fffp+1 0x1.3ffeab8c307ffp+2 0x1.bffd7147ad7ffp+2 "
+                "0x1.1ffde72057bffp+3 0x1.5ffce13b5b3ffp+3 0x1.9ffba6f4a03ffp+3 0x1.dffa384be6c00p+3 "
+                "0x1.0ffc4aa077600p+4 0x1.2ffb5ee9bbe00p+4",
+            ),
+            (
+                FINE_GRID,
+                10,
+                "0x1.ffffcb9f90000p-1 0x1.7fffbe877c000p+1 0x1.3fffaae352000p+2 0x1.bfff5c52a2000p+2 "
+                "0x1.1fff79c8d3000p+3 0x1.5fff38502d000p+3 0x1.9ffee9bf59000p+3 0x1.dffe8e1654fffp+3 "
+                "0x1.0fff12aa8d7ffp+4 0x1.2ffed7bdd3800p+4",
+            ),
+            (
+                GridSpec(10.0, 5),
+                5,
+                "0x1.6da7840e442ffp-3 0x1.694ecaa508f45p+3 0x1.695abbef8ba6cp+3 0x1.64ff5c2144050p+5 "
+                "0x1.64ff5c219f51ap+5",
+            ),
+        ],
+        ids=["2000-10", "4001-10", "5-5"],
+    )
+    def test_levels_are_pinned_to_the_bit(self, grid, levels, pinned):
+        # frozen values: a level is fixed by the counts alone, so a change to how the
+        # solve brackets or steps toward it must not move a bit
+        _unit_levels.cache_clear()
+        assert [float(v).hex() for v in _unit_levels(grid, levels)] == pinned.split()
+
+    @pytest.mark.parametrize("grid, levels, most", [(FINE_GRID, 4, 94), (GRID, 10, 205)], ids=["4001-4", "2000-10"])
+    def test_cold_solve_pass_count(self, monkeypatch, grid, levels, most):
+        # every pass walks the rows of a block once, so the count stands in for the time
+        passes = 0
+
+        def counting(solve):
+            def counted(*args):
+                nonlocal passes
+                passes += 1
+                return solve(*args)
+
+            return counted
+
+        for name in ("_negative_pivots", "_newton_pass"):
+            monkeypatch.setattr(oscillator, name, counting(getattr(oscillator, name)))
+        _unit_levels.cache_clear()
+        _unit_levels(grid, levels)
+        assert passes <= most
+
+    @pytest.mark.parametrize("half_width, points, levels", [(1e154, 3, 2), (1.3e154, 3, 3), (1e100, 5, 3)])
+    @pytest.mark.filterwarnings("ignore:grid .* is below the spectral-claim resolution")
+    def test_non_positive_level_is_named(self, half_width, points, levels):
+        # x^2 - d^2/dx^2 is positive definite; on these grids the scaled block's smallest
+        # entries underflow and level 0 comes out as negative round-off
+        _unit_levels.cache_clear()
+        named = f"not positive and finite, at half_width={half_width!r}, points={points!r}"
+        for _ in range(2):
+            with pytest.raises(NumericContractError, match=re.escape(named)):
+                spectrum(OscillatorSpec(), GridSpec(half_width, points), levels)
+        assert _unit_levels.cache_info().currsize == 0
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
