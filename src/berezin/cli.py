@@ -32,7 +32,7 @@ import csv
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -65,15 +65,9 @@ class RunRecord:
     timestamp: str | None = None
 
     def to_dict(self) -> dict:
-        data = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "results": self.results,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-        }
-        if self.timestamp is not None:
-            data["timestamp"] = self.timestamp
+        data = asdict(self)
+        if self.timestamp is None:
+            del data["timestamp"]
         return data
 
     def to_json(self) -> str:
@@ -207,9 +201,7 @@ def _sweep_value(quantity: str, n: int, lam: float, alpha: float) -> float:
         return berezin_transform_closed(symbol, q).compression
     if quantity == "amplitude_prime":
         return berezin_transform_closed(symbol, q).amplitude
-    if quantity == "taylor_remainder":
-        return taylor_remainder(symbol, q, (0.3 + 0j,) * n)
-    raise ValueError(f"unknown quantity {quantity!r}")
+    return taylor_remainder(symbol, q, (0.3 + 0j,) * n)
 
 
 def cmd_sweep(args) -> tuple[RunRecord, list]:

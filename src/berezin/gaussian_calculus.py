@@ -121,10 +121,6 @@ class QuantParams:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _real("alpha", self.alpha))
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.alpha
-
 
 @dataclass(frozen=True)
 class GaussianSymbol:

@@ -281,7 +281,7 @@ def spectrum(spec: OscillatorSpec, grid: GridSpec, levels: int) -> np.ndarray:
     Sturm counts and Newton steps in plain Python, seeded by Fourier
     collocation; `_unit_levels` gives its cost.
     """
-    levels = _integer("levels", levels, 1, 10)
+    levels = _integer("levels", levels, 1, _SEED_LEVELS)
     if levels > grid.points:
         raise ValueError(f"levels={levels!r} exceeds the grid's points={grid.points!r}")
     _warn_if_coarse(grid)

@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 from itertools import product, repeat
 from operator import add, floordiv, index, mod, mul, sub
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -230,22 +230,6 @@ class PolynomialSymbol:
                 value *= c ** beta[axis] * c.conjugate() ** gamma[axis]
             total += value
         return total
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "terms": [
-                {"beta": list(beta), "gamma": list(gamma), "re": coeff.real, "im": coeff.imag}
-                for beta, gamma, coeff in self.terms
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "PolynomialSymbol":
-        terms = tuple((t["beta"], t["gamma"], complex(t["re"], t["im"])) for t in data["terms"])
-        return cls(data["dim"], terms)
 
 
 def _fold(acc: dict, pairs, op) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable
 
@@ -52,13 +52,7 @@ class CheckResult:
         return self.value <= self.bound
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "value": self.value,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 # -- suite: closed transform vs centred Gauss-Hermite quadrature -------------
@@ -167,11 +161,8 @@ def _all_exponent_pairs(dim: int, degree: int) -> tuple:
 def _random_polynomial(rng: np.random.Generator, dim: int, degree: int = 3, terms: int = 4) -> PolynomialSymbol:
     pool = _all_exponent_pairs(dim, degree)
     chosen = rng.choice(len(pool), size=min(terms, len(pool)), replace=False)
-    poly = PolynomialSymbol(dim, tuple((*pool[int(i)], complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
-                                       for i in chosen))
-    if poly.is_zero:
-        poly = PolynomialSymbol.constant(dim, 1.0)
-    return poly
+    return PolynomialSymbol(dim, tuple((*pool[int(i)], complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
+                                         for i in chosen))
 
 
 def _suite_star(seed: int) -> list[CheckResult]:

@@ -90,6 +90,18 @@ class TestStartup:
             with pytest.raises(AttributeError, match=f"'{name}'"):
                 getattr(berezin, name)
 
+    def test_layer_module_resolves_on_first_access(self):
+        import berezin
+
+        assert berezin.__getattr__("oscillator") is oscillator
+        probe = (
+            "import sys, berezin\n"
+            "assert 'oscillator' not in vars(berezin) and 'berezin.oscillator' not in sys.modules\n"
+            "assert berezin.oscillator is sys.modules['berezin.oscillator']\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_bergman_space_loads_no_semiclassics(self):
         code, modules = imported_by("-c", "import berezin.bergman_space")
         assert code == 0
@@ -549,6 +561,15 @@ class TestSweepCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+        assert not out_path.exists()
+
+    def test_empty_grid_exits_two_without_file(self, capsys, tmp_path):
+        out_path = tmp_path / "empty.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--quantity", "normalized_trace", "--alphas", "logspace:0:1:0", "--out", str(out_path)
+        )
+        assert (code, out) == (2, "")
+        assert "grid needs at least one value" in err
         assert not out_path.exists()
 
     def test_underflowing_trace_exits_three(self, capsys, tmp_path):

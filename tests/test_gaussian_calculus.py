@@ -70,6 +70,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="dimension mismatch"):
             evaluate(g, 1.0 + 0j)
 
+    def test_empty_point(self):
+        with pytest.raises(ValueError, match="a point needs at least one coordinate"):
+            as_point([])
+
     def test_non_finite_coordinates(self):
         with pytest.raises(ValueError, match="non-finite"):
             ComplexPoint((complex("inf"), 0j))

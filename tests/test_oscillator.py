@@ -285,6 +285,15 @@ class TestSpectrum:
                 spectrum(OscillatorSpec(), GridSpec(half_width, points), levels)
         assert _unit_levels.cache_info().currsize == 0
 
+    def test_non_finite_operator_is_named(self):
+        # x^2 overflows at the grid's ends, |x| near 1.5e154, while dx^2, about 2.2e302, stays finite
+        held = _unit_levels.cache_info().currsize
+        named = "the difference operator is not finite at half_width=1.5e+154, points=2000"
+        for _ in range(2):
+            with pytest.raises(NumericContractError, match=re.escape(named)):
+                spectrum(OscillatorSpec(), GridSpec(1.5e154, 2000), 4)
+        assert _unit_levels.cache_info().currsize == held
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(half_width=10.0, points=2)

@@ -1,7 +1,6 @@
 """Star product, bidifferential terms, bracket condition, expansion check."""
 
 import itertools
-import json
 import math
 import re
 
@@ -98,6 +97,8 @@ class TestPolynomialSymbol:
     def test_canonicalization_drops_zeros_and_sorts(self):
         p = PolynomialSymbol(1, (((2,), (0,), 1.0), ((0,), (1,), 0.0), ((1,), (0,), 2.0)))
         assert p.terms == (((1,), (0,), 2.0 + 0j), ((2,), (0,), 1.0 + 0j))
+        keys = [(beta, gamma) for beta, gamma, _ in (Z * Z + (1 + 2j) * ZBAR * Z).terms]
+        assert keys == sorted(keys)
 
     def test_index_validation(self):
         with pytest.raises(ValueError, match="length"):
@@ -110,7 +111,7 @@ class TestPolynomialSymbol:
         with pytest.raises(ValueError, match=re.escape(f"multi-index ({entry!r},) must hold integers")):
             PolynomialSymbol(1, (((entry,), (0,), 1.0),))
         with pytest.raises(ValueError, match="must hold integers"):
-            PolynomialSymbol.from_json_dict({"dim": 1, "terms": [{"beta": [0], "gamma": [entry], "re": 1.0, "im": 0.0}]})
+            PolynomialSymbol(1, (([0], [entry], 1.0 + 0j),))
 
     def test_numpy_integer_exponents_accepted(self):
         p = PolynomialSymbol(2, (((np.int64(2), np.int32(0)), (np.uint8(1), 0), 1.0),))
@@ -160,9 +161,8 @@ class TestPolynomialSymbol:
 
     @pytest.mark.parametrize("dim", [1.9, 2.0, True, "2"])
     def test_non_integer_dim_rejected(self, dim):
-        data = {"dim": dim, "terms": [{"beta": [0, 0], "gamma": [1, 0], "re": 1.0, "im": 0.0}]}
         with pytest.raises(ValueError, match="dim must be a positive integer"):
-            PolynomialSymbol.from_json_dict(data)
+            PolynomialSymbol(dim, (([0, 0], [1, 0], 1.0 + 0j),))
 
     def test_numpy_integer_dim_accepted(self):
         p = PolynomialSymbol(np.int64(1), (((1,), (0,), 1.0),))
@@ -218,15 +218,6 @@ class TestPolynomialSymbol:
     def test_eval_point(self):
         p = Z * ZBAR  # |z|^2
         assert p.eval_point(0.3 + 0.4j) == pytest.approx(0.25, rel=1e-15)
-
-    def test_json_round_trip_sorted(self):
-        p = Z * Z + (1 + 2j) * ZBAR * Z
-        data = p.to_json_dict()
-        assert set(data) == {"dim", "terms"}
-        assert all(set(t) == {"beta", "gamma", "re", "im"} for t in data["terms"])
-        keys = [(tuple(t["beta"]), tuple(t["gamma"])) for t in data["terms"]]
-        assert keys == sorted(keys)
-        assert PolynomialSymbol.from_json_dict(json.loads(json.dumps(data))) == p
 
 
 class TestWickStar:
