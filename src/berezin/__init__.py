@@ -30,9 +30,7 @@ _EXPORTS = {
         "BRACKET_NORMALIZATION",
         "ExpansionReport",
         "PolynomialSymbol",
-        "c_term",
         "expansion_check",
-        "poisson_bracket",
         "quantization_condition_residual",
         "wick_star",
     ),

@@ -24,9 +24,9 @@ a generic callable is summed on the centred tensor grid by `integrate`,
 which limits it to n <= 2.  At z = 0 the kernel is the weight rho itself,
 so the transform there is the trace Tr(f).  The oracle never consults the
 closed-form width map.  A seeded Monte-Carlo estimator samples the same
-centred Gaussian and provides a second, statistically independent route on
-one stream, sigma * standard_normal((2, n, N)) with blocks Re(w - z) and
-Im(w - z): a GaussianSymbol reads and draws block 0, a callable both.
+centred Gaussian and provides a second, statistically independent route for
+a GaussianSymbol, on one stream: sigma * standard_normal((n, N)), whose row
+j is Re(w_j - z_j), the only part of w the symbol reads.
 
 Sums use numpy's own reduction, a pairwise summation whose order depends
 only on the array's shape, so results are reproducible run-to-run.
@@ -34,7 +34,6 @@ only on the array's shape, so results are reproducible run-to-run.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import sys
@@ -258,12 +257,12 @@ def berezin_transform_numeric(
 
 
 def monte_carlo_transform(
-    f: Union[GaussianSymbol, Callable],
+    f: GaussianSymbol,
     z: PointLike,
     q: QuantParams,
     cfg: MonteCarloConfig,
 ) -> tuple[complex, float]:
-    """Monte-Carlo estimate of the smoothing transform of f at z.
+    """Monte-Carlo estimate of the smoothing transform of the symbol f at z.
 
     The transform kernel (1/K(z,z)) |K(z,w)|^2 rho(w) is exactly the
     Gaussian probability density (alpha/pi)^n exp(-alpha*|w-z|^2), so the
@@ -272,67 +271,44 @@ def monte_carlo_transform(
     Returns (mean, standard error); a fixed seed reproduces the estimate
     bit-for-bit.
 
-    The one sample stream is X = sigma * default_rng(seed).standard_normal((2, n, N)):
-    block 0 is Re(w - z), block 1 is Im(w - z), row j coordinate j.  A
-    callable receives n complex arrays w_j = z_j + X[0, j] + i*X[1, j].  A
-    GaussianSymbol reads only Re w, so it draws block 0 alone, (1, n, N),
-    the same numbers as the full stream's prefix, and is evaluated in place
-    on its rows at unit amplitude, with the exponent -lam * min(u^2, max
-    double) (an overflow is a zero sample); the mean and standard error are
-    then multiplied by the amplitude, so a symbol's values are always finite.
-    A callable's non-finite value raises, naming the sample; so does a mean
-    or standard error that overflows, naming it.  A symbol's mean that
-    underflows to 0, or that rests on fewer than MIN_EFFECTIVE_SAMPLES
-    effective samples (sum f)^2 / sum f^2 (taken from the unit values, as it
-    does not depend on the amplitude), raises, naming its amplitude, lambda
-    and alpha.
+    A GaussianSymbol reads only Re w, so the one sample stream is
+    X = sigma * default_rng(seed).standard_normal((n, N)), row j being
+    Re(w_j - z_j).  The symbol is evaluated in place on those rows at unit
+    amplitude, with the exponent -lam * min(u^2, max double) (an overflow is
+    a zero sample), so every unit value lies in [0, 1]; the mean and
+    standard error are then multiplied by the amplitude, and stay finite.
+    A mean that underflows to 0, or that rests on fewer than
+    MIN_EFFECTIVE_SAMPLES effective samples (sum f)^2 / sum f^2 (taken from
+    the unit values, as it does not depend on the amplitude), raises,
+    naming its amplitude, lambda and alpha.
     """
-    point = as_point(z, f.dim if isinstance(f, GaussianSymbol) else None)
-    n = point.dim
+    if not isinstance(f, GaussianSymbol):
+        raise ValueError(f"f must be a GaussianSymbol, got {type(f).__name__}")
+    point = as_point(z, f.dim)
     sigma = math.sqrt(1.0 / (2.0 * q.alpha))
-    blocks = 1 if isinstance(f, GaussianSymbol) else 2
-    offsets = np.random.default_rng(cfg.seed).standard_normal((blocks, n, cfg.samples))
-    offsets *= sigma
-    if isinstance(f, GaussianSymbol):
-        rows = offsets[0]
-        with np.errstate(over="ignore"):  # an overflowing exponent is -inf, a zero sample
-            rows += np.array([[c.real] for c in point.coords])
-            np.square(rows, out=rows)
-            values = rows[0]
-            for row in rows[1:]:
-                values += row
-            np.minimum(values, sys.float_info.max, out=values)
-            values *= -f.compression
-        np.exp(values, out=values)
-    else:
-        values = np.asarray(f(*(c + offsets[0, j] + 1j * offsets[1, j] for j, c in enumerate(point.coords))))
-        bad = ~np.isfinite(np.ravel(values))
-        if np.any(bad):
-            shifts = offsets[:, :, int(np.flatnonzero(bad)[0])]
-            sample = tuple(c + complex(*shift) for c, shift in zip(point.coords, shifts.T))
-            raise NumericContractError(f"integrand is non-finite at sample {sample}")
-    with np.errstate(over="ignore"):  # an overflowing sum is refused below, by name
-        mean = np.mean(values)
-        if isinstance(f, GaussianSymbol):  # real values in this call's own buffer: spread in place
-            values -= mean
-            spread = np.sum(np.square(values, out=values))
-        else:  # a callable's values may be complex, or an array its caller still holds
-            spread = np.sum(np.abs(values - mean) ** 2)
-        stderr = math.sqrt(float(spread) / (cfg.samples * (cfg.samples - 1)))
-    if not (cmath.isfinite(mean) and math.isfinite(stderr)):
-        what = f"estimate {complex(mean)!r}" if not cmath.isfinite(mean) else f"standard error {stderr!r}"
-        raise NumericContractError(f"Monte-Carlo {what} is not finite")
-    if isinstance(f, GaussianSymbol):  # a positive symbol
-        unit_mean, unit_stderr = float(mean), stderr
-        mean, stderr = mean * f.amplitude, stderr * f.amplitude
-        at = f"amplitude={f.amplitude!r}, lambda={f.compression!r}, alpha={q.alpha!r}"
-        if mean == 0.0:  # every sample underflowed, or the scaled mean did
-            raise NumericContractError(f"Monte-Carlo estimate underflows to 0 at {at}")
-        # (sum f)^2 / sum f^2, which the amplitude leaves alone: 1 when one sample carries the sum
-        effective = cfg.samples / (1.0 + (cfg.samples - 1) * (unit_stderr / unit_mean) ** 2)
-        if effective < MIN_EFFECTIVE_SAMPLES:
-            raise NumericContractError(
-                f"Monte-Carlo estimate has effective sample size {effective:.3g} "
-                f"(below {MIN_EFFECTIVE_SAMPLES}) at {at}"
-            )
+    rows = np.random.default_rng(cfg.seed).standard_normal((point.dim, cfg.samples))
+    rows *= sigma
+    with np.errstate(over="ignore"):  # an overflowing exponent is -inf, a zero sample
+        rows += np.array([[c.real] for c in point.coords])
+        np.square(rows, out=rows)
+        values = rows[0]
+        for row in rows[1:]:
+            values += row
+        np.minimum(values, sys.float_info.max, out=values)
+        values *= -f.compression
+    np.exp(values, out=values)
+    unit_mean = float(np.mean(values))
+    values -= unit_mean  # the spread is taken in this call's own buffer
+    unit_stderr = math.sqrt(float(np.sum(np.square(values, out=values))) / (cfg.samples * (cfg.samples - 1)))
+    mean, stderr = unit_mean * f.amplitude, unit_stderr * f.amplitude
+    at = f"amplitude={f.amplitude!r}, lambda={f.compression!r}, alpha={q.alpha!r}"
+    if mean == 0.0:  # every sample underflowed, or the scaled mean did
+        raise NumericContractError(f"Monte-Carlo estimate underflows to 0 at {at}")
+    # (sum f)^2 / sum f^2, which the amplitude leaves alone: 1 when one sample carries the sum
+    effective = cfg.samples / (1.0 + (cfg.samples - 1) * (unit_stderr / unit_mean) ** 2)
+    if effective < MIN_EFFECTIVE_SAMPLES:
+        raise NumericContractError(
+            f"Monte-Carlo estimate has effective sample size {effective:.3g} "
+            f"(below {MIN_EFFECTIVE_SAMPLES}) at {at}"
+        )
     return complex(mean), stderr

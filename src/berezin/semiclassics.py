@@ -28,13 +28,14 @@ The antisymmetrized first-order term satisfies
     C_1(f, g) - C_1(g, f) = (i/(2*pi)) * {f, g}
 
 where the bracket is normalized as {f, g} = kappa * sum_j (d_z f d_zbar g
-- d_zbar f d_z g) with kappa = 2*pi/i (BRACKET_NORMALIZATION); scaling
-`poisson_bracket` by 1j / BRACKET_NORMALIZATION gives the conventional
-complex-coordinates bracket.  The bracket runs
-on the same packed keys but is its own sum, axis by axis over derivative
-products, not the pair sum, so the residual of this identity compares two
-routes.  The residual itself is one pass on packed keys that builds no
-intermediate symbol.
+- d_zbar f d_z g) with kappa = 2*pi/i (BRACKET_NORMALIZATION), the factor
+that makes the condition an identity: `quantization_condition_residual`
+scales the unscaled sum by kappa and then by i/(2*pi).  (1j / kappa) * {f, g}
+is the conventional complex-coordinates bracket.  The bracket runs on the same
+packed keys but is its own sum, axis by axis over derivative products, not
+the pair sum, so the residual of this identity compares two routes.  The
+residual itself is one pass on packed keys that builds no intermediate
+symbol.
 
 Derivatives and products act on integer exponents exactly; round-off enters
 only through the complex coefficients.  Public constructors validate exponents
@@ -67,9 +68,7 @@ __all__ = [
     "BRACKET_NORMALIZATION",
     "ExpansionReport",
     "PolynomialSymbol",
-    "c_term",
     "expansion_check",
-    "poisson_bracket",
     "quantization_condition_residual",
     "wick_star",
 ]
@@ -150,20 +149,12 @@ class PolynomialSymbol:
         return {(beta, gamma): coeff for beta, gamma, coeff in self.terms}
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def degree(self) -> int:
         return max((sum(b) + sum(g) for b, g, _ in self.terms), default=0)
 
     @property
     def degree_z(self) -> int:
         return max((sum(b) for b, g, _ in self.terms), default=0)
-
-    @property
-    def degree_zbar(self) -> int:
-        return max((sum(g) for b, g, _ in self.terms), default=0)
 
     def max_coeff(self) -> float:
         return max((abs(c) for _, _, c in self.terms), default=0.0)
@@ -354,11 +345,6 @@ def _bidifferential(
     return keys.symbol(_pair_sum(keys, keys.f, keys.g, inv_alpha, j))
 
 
-def c_term(f: PolynomialSymbol, g: PolynomialSymbol, j: int) -> PolynomialSymbol:
-    """C_j(f, g): the monomial-pair coefficients perm(b1, beta) perm(g2, beta) / beta!, |beta| = j."""
-    return _bidifferential(f, g, 1.0, _integer("order", j, 0))
-
-
 def wick_star(f: PolynomialSymbol, g: PolynomialSymbol, q: QuantParams) -> PolynomialSymbol:
     """Normal-ordered star product, the sum of the monomial-pair coefficients
     perm(b1, beta) perm(g2, beta) alpha^-|beta| / beta! over all beta."""
@@ -383,17 +369,6 @@ def _bracket_sum(keys: _Keys) -> dict:
             step = _fold({}, ((k1 + k2, c1 * c2) for k1, c1 in df for k2, c2 in dg), add)
             acc = _fold(acc, step.items(), op)
     return acc
-
-
-def poisson_bracket(f: PolynomialSymbol, g: PolynomialSymbol) -> PolynomialSymbol:
-    """{f, g} = kappa * sum_j (d_z f d_zbar g - d_zbar f d_z g).
-
-    kappa = BRACKET_NORMALIZATION = 2*pi/i pairs with the first-order
-    condition; `.scaled(1j / BRACKET_NORMALIZATION)` of the result is the
-    conventional complex-coordinates bracket.
-    """
-    keys = _Keys(f, g)
-    return keys.symbol(_bracket_sum(keys)).scaled(BRACKET_NORMALIZATION)
 
 
 def quantization_condition_residual(f: PolynomialSymbol, g: PolynomialSymbol) -> float:

@@ -290,6 +290,76 @@ class TestGaussianMoment:
                 numeric = float(np.sum(rule.weights * (rule.nodes / math.sqrt(a)) ** k)) / math.sqrt(a)
                 assert numeric == pytest.approx(gaussian_moment(k, a), rel=1e-12)
 
+    @staticmethod
+    def reference(k, a):
+        """Gamma((k+1)/2) / a^((k+1)/2) at 50 digits."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            half = mp.mpf(k + 1) / 2
+            return mp.gamma(half) / mp.mpf(a) ** half
+
+    @staticmethod
+    def bound(k, a):
+        """The documented relative bound, 4 eps (1 + |lgamma((k+1)/2)| + |(k+1)/2 * log a|)."""
+        half = (k + 1) / 2
+        return 4.0 * 2.0**-52 * (1.0 + abs(math.lgamma(half)) + abs(half * math.log(a)))
+
+    def relative_error(self, k, a):
+        reference = self.reference(k, a)
+        return float(abs((gaussian_moment(k, a) - reference) / reference))
+
+    def test_matches_mpmath_table(self):
+        worst = 0.0
+        for k in range(0, 79, 2):
+            for a in (1e-3, 0.5, 1.0, 2.0, 1e3):
+                error = self.relative_error(k, a)
+                assert error <= self.bound(k, a), (k, a)
+                worst = max(worst, error)
+        assert worst <= 5e-14
+
+    @pytest.mark.parametrize(
+        "k,a,expected",
+        [
+            # 50-digit values; the double-factorial product returned inf at (340, 1)
+            # and raised a bare OverflowError at (300, 1e3)
+            (340, 1.0, 5.5620924145599996107e305),
+            (300, 1e3, 1.4739605841092377131e-190),
+        ],
+        ids=["340-1", "300-1e3"],
+    )
+    def test_large_orders_are_normal_doubles(self, k, a, expected):
+        assert gaussian_moment(k, a) == pytest.approx(expected, rel=4e-14, abs=0.0)
+        assert self.relative_error(k, a) <= 4e-14
+
+    @pytest.mark.parametrize(
+        "k,a",
+        [
+            (4, 1e-200),  # 1.3e500; a bare ZeroDivisionError before
+            (6, 1e150),  # 3.3e-525; a bare OverflowError before
+            (400, 1.0),  # 5.6e373
+            (2, 1e206),  # 8.9e-310, sub-normal
+        ],
+    )
+    def test_out_of_range_is_refused_by_name(self, k, a):
+        reference = self.reference(k, a)
+        assert not 2.2250738585072014e-308 <= reference <= 1.7976931348623157e308
+        with pytest.raises(NumericContractError, match=re.escape(f"outside the normal double range at k={k}, a={a!r}")):
+            gaussian_moment(k, a)
+
+    @given(half_k=st.integers(min_value=0, max_value=2000), log_a=st.floats(min_value=-300.0, max_value=300.0))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_agrees_or_refuses_across_the_domain(self, half_k, log_a):
+        k, a = 2 * half_k, 10.0**log_a
+        bound = self.bound(k, a)
+        reference = self.reference(k, a)
+        try:
+            value = gaussian_moment(k, a)
+        except NumericContractError as error:
+            assert f"k={k}, a={a!r}" in str(error)
+            assert reference < 2.2250738585072014e-308 * (1.0 + bound) or reference > 1.7976931348623157e308 * (1.0 - bound)
+        else:
+            assert float(abs((value - reference) / reference)) <= bound
+
 
 # every integer parameter goes through gaussian_calculus._integer: bool,
 # float and str are refused; numpy integers are accepted and stored as int

@@ -13,6 +13,7 @@ import pytest
 from berezin import (
     GaussianSymbol,
     MonteCarloConfig,
+    PolynomialSymbol,
     QuantParams,
     berezin_transform_closed,
     berezin_transform_numeric,
@@ -433,11 +434,18 @@ class TestCentredTransform:
 class TestMonteCarlo:
     def test_constant_has_zero_stderr(self):
         cfg = MonteCarloConfig(samples=2000, seed=5)
-        estimate, stderr = monte_carlo_transform(
-            lambda w: np.ones_like(w.real), 0.3 + 0.5j, QuantParams(1.0), cfg
-        )
-        assert estimate == 1.0
-        assert stderr == 0.0
+        for n in (1, 2, 3):
+            result = monte_carlo_transform(GaussianSymbol(n, 1.0, 0.0), NEAR[:n], QuantParams(1.0), cfg)
+            assert result == (1 + 0j, 0.0)
+
+    @pytest.mark.parametrize(
+        "f", [lambda w: np.ones_like(w.real), PolynomialSymbol.constant(1, 1.0)], ids=["callable", "polynomial"]
+    )
+    def test_non_symbol_is_refused(self, f):
+        # only a GaussianSymbol has a sample stream: anything else is refused by name
+        message = f"f must be a GaussianSymbol, got {type(f).__name__}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            monte_carlo_transform(f, 0j, QuantParams(1.0), MonteCarloConfig(samples=1000, seed=0))
 
     def test_gaussian_within_three_stderr(self):
         cfg = MonteCarloConfig(samples=100_000, seed=42)
@@ -479,27 +487,23 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "f,z,alpha,samples,seed,expected",
         [
-            # (estimate, stderr) reprs; a symbol draws block 0 of the stream, a callable both blocks
+            # (estimate, stderr) reprs of the one stream, sigma * standard_normal((n, N))
             (GaussianSymbol(1, 1.0, 1.0), 0.4 - 0.3j, 2.0, 1000, 7,
              "((0.7602302661877455+0j), 0.007506696832493651)"),
             (GaussianSymbol(2, 1.5, 0.5), (0.3 + 0.2j, -0.6 + 0.1j), 1.0, 2000, 8,
              "((0.8607724060262995+0j), 0.008997053049438998)"),
             (GaussianSymbol(3, 0.5, 2.0), (0.1 + 0j, -0.2 + 0.5j, 0.7 - 0.4j), 3.0, 1500, 9,
              "((0.11916485359993972+0j), 0.00299802234647109)"),
-            # the callable case pins the stream's Im block, sigma * standard_normal((2, n, N))[1]
-            (lambda w: np.exp(-1.5 * np.real(w) ** 2 + 0.5j * np.imag(w)), 0.3 - 0.2j, 2.0, 1000, 10,
-             "((0.6878144821020382-0.07052585476393163j), 0.010188784411168874)"),
         ],
-        ids=["symbol-n1", "symbol-n2", "symbol-n3", "callable"],
+        ids=["symbol-n1", "symbol-n2", "symbol-n3"],
     )
     def test_seeded_results_pinned(self, f, z, alpha, samples, seed, expected):
         result = monte_carlo_transform(f, z, QuantParams(alpha), MonteCarloConfig(samples=samples, seed=seed))
         assert repr(result) == expected
 
     def test_symbol_stream_is_n_real_rows(self):
-        # the documented stream, rebuilt from its definition: a symbol draws
-        # block 0 of sigma * standard_normal((2, n, N)) as (1, n, N), the
-        # same numbers as (n, N), and row j is Re(w_j - z_j); the unit symbol's
+        # the documented stream, rebuilt from its definition: row j of
+        # sigma * standard_normal((n, N)) is Re(w_j - z_j); the unit symbol's
         # mean and standard error are then multiplied by the amplitude
         f, z, q, samples, seed = GaussianSymbol(2, 1.5, 0.5), (0.3 + 0.2j, -0.6 + 0.1j), QuantParams(1.0), 2000, 8
         rows = math.sqrt(1.0 / (2.0 * q.alpha)) * np.random.default_rng(seed).standard_normal((2, samples))
@@ -508,44 +512,6 @@ class TestMonteCarlo:
         stderr = math.sqrt(float(np.sum((values - mean) ** 2)) / (samples * (samples - 1)))
         result = monte_carlo_transform(f, z, q, MonteCarloConfig(samples=samples, seed=seed))
         assert repr(result) == repr((complex(mean * f.amplitude), stderr * f.amplitude))
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_callable_symbol_reads_the_symbol_stream(self, n):
-        # one stream: the callable's Re w block is the symbol's rows, so the
-        # two estimates differ only by round-off in the complex mean
-        f = GaussianSymbol(n, 1.7, 0.8)
-        z = tuple(complex(0.3 * j - 0.2, 0.1 * j + 0.4) for j in range(n))
-        q, cfg = QuantParams(1.5), MonteCarloConfig(samples=3000, seed=11 + n)
-
-        def callable_symbol(*w):
-            return f.amplitude * np.exp(-f.compression * sum(np.real(c) ** 2 for c in w))
-
-        symbol_mean, symbol_stderr = monte_carlo_transform(f, z, q, cfg)
-        callable_mean, callable_stderr = monte_carlo_transform(callable_symbol, z, q, cfg)
-        assert callable_mean.imag == 0.0
-        assert callable_mean.real == pytest.approx(symbol_mean.real, rel=1e-15)
-        assert callable_stderr == pytest.approx(symbol_stderr, rel=1e-15)
-
-    def test_non_finite_sample_names_the_sample(self):
-        # a callable that is non-finite past a radius fails at the first such
-        # sample, named from both blocks of the stream
-        cfg = MonteCarloConfig(samples=1000, seed=1)
-        z = (0.5 + 0.2j, -0.3j)
-        blocks = math.sqrt(0.5) * np.random.default_rng(1).standard_normal((2, 2, 1000))
-        w = [c + blocks[0, j] + 1j * blocks[1, j] for j, c in enumerate(z)]
-        bad = int(np.flatnonzero(np.abs(w[0]) + np.abs(w[1]) > 3.0)[0])
-        assert bad > 0
-        sample = tuple(c + complex(blocks[0, j, bad], blocks[1, j, bad]) for j, c in enumerate(z))
-        with pytest.raises(NumericContractError, match=re.escape(f"non-finite at sample {sample}")):
-            monte_carlo_transform(lambda w1, w2: np.where(np.abs(w1) + np.abs(w2) > 3.0, np.inf, 1.0), z,
-                                  QuantParams(1.0), cfg)
-        # a callable that is non-finite everywhere fails at the first sample,
-        # column 0 of both blocks
-        first = math.sqrt(0.5) * np.random.default_rng(1).standard_normal((2, 1, 1000))[:, 0, 0]
-        sample = 0.5 + complex(first[0], first[1])
-        with np.errstate(divide="ignore"):
-            with pytest.raises(NumericContractError, match=re.escape(f"non-finite at sample {(sample,)}")):
-                monte_carlo_transform(lambda w: 1.0 / (w.real - w.real), 0.5 + 0j, QuantParams(1.0), cfg)
 
     @pytest.mark.parametrize(
         "amplitude,compression,cfg",
@@ -617,15 +583,6 @@ class TestMonteCarlo:
         # not NaN, and every sample of the constant symbol is 1
         g = GaussianSymbol(1 if z == 0j else len(z), 1.0, 0.0)
         assert monte_carlo_transform(g, z, QuantParams(alpha), MonteCarloConfig(1000, 0)) == (1 + 0j, 0.0)
-
-    def test_zero_callable_estimate_is_zero(self):
-        cfg = MonteCarloConfig(samples=1000, seed=0)
-        assert monte_carlo_transform(lambda w: np.zeros(w.shape), 0j, QuantParams(1.0), cfg) == (0j, 0.0)
-
-    def test_overflowing_callable_estimate_is_refused(self):
-        cfg = MonteCarloConfig(samples=100_000, seed=3)
-        with pytest.raises(NumericContractError, match=r"Monte-Carlo estimate \(inf\+0j\) is not finite$"):
-            monte_carlo_transform(lambda w: np.full(w.shape, 1e305), 0j, QuantParams(1.0), cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match=">= 1000"):
