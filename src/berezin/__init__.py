@@ -18,6 +18,7 @@ _EXPORTS = {
     "gaussian_calculus": (
         "ComplexPoint",
         "GaussianSymbol",
+        "NumericContractError",
         "QuantParams",
         "as_point",
         "berezin_transform_closed",

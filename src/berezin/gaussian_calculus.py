@@ -137,7 +137,7 @@ class GaussianSymbol:
     def __post_init__(self):
         object.__setattr__(self, "dim", _integer("dim", self.dim, 1))
         object.__setattr__(self, "amplitude", _real("amplitude", self.amplitude))
-        object.__setattr__(self, "compression", _real("compression", self.compression, zero=True))
+        object.__setattr__(self, "compression", _real("lambda", self.compression, zero=True))
 
 
 def _real_square_sum(point: ComplexPoint) -> float:

@@ -22,7 +22,9 @@ safeguarded Newton steps on log|det(T - x)| from a seed, and is pinned by
 bisection on the counts to the double where the count changes.  The seeds
 are the levels of a second, spectrally accurate route: Fourier collocation
 of x^2 - d^2/dx^2 (Trefethen's Program 8), which `verify` also checks
-against 2j + h.
+against 2j + h.  They also bound the solve's error: a grid whose levels lie
+more than 1e-3 (relative) from them is refused, so a grid too coarse or too
+narrow to resolve the oscillator yields an error, not levels.
 
 The uncertainty functions work with the compressed Gaussian state
 psi = K * exp(-lam*x^2 / (2*(1+lam))) and second moments taken against the
@@ -35,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,6 @@ __all__ = [
     "uncertainty_quadrature",
     "uncertainty_report",
 ]
-
-SPECTRAL_MIN_POINTS = 500
-SPECTRAL_MIN_HALF_WIDTH = 6.0
-
 
 @dataclass(frozen=True)
 class OscillatorSpec:
@@ -83,20 +80,11 @@ class GridSpec:
         return x, spacing
 
 
-def _warn_if_coarse(grid: GridSpec) -> None:
-    if grid.points < SPECTRAL_MIN_POINTS or grid.half_width < SPECTRAL_MIN_HALF_WIDTH:
-        warnings.warn(
-            f"grid (L={grid.half_width}, N={grid.points}) is below the spectral-claim "
-            f"resolution (L >= {SPECTRAL_MIN_HALF_WIDTH}, N >= {SPECTRAL_MIN_POINTS}); "
-            "results may miss the stated tolerances",
-            stacklevel=3,
-        )
-
-
 _COLLOCATION_NODES = 63
 _COLLOCATION_HALF_WIDTH = 10.0
 _SEED_LEVELS = 10  # the levels `spectrum` accepts
 _NEWTON_STEPS = 8
+_GAP_BOUND = 1e-3  # the relative gap to the collocation levels beyond which a solve is refused
 _EPS = sys.float_info.epsilon
 
 
@@ -228,9 +216,15 @@ def _unit_levels(grid: GridSpec, levels: int) -> np.ndarray:
     same parity, in passes over each block's N/2 rows: a cold solve of 4
     levels at N = 4001 takes 90 passes, 11-12 ms on a 2-vCPU Xeon VM (min
     of 15), and a repeat from the memo about 11 us.  The cost grows as N,
-    the practical ceiling on `points`.  The operator is positive definite,
-    so a level that is not positive is round-off and is refused.  Every
-    refusal is an exception, so a refused grid is never kept.
+    the practical ceiling on `points`.
+
+    The solve is refused, by a NumericContractError naming the grid, when
+    its gap max_j |level_j / coll_j - 1| to the collocation levels coll_j
+    exceeds 1e-3.  At 10 levels the gap is 5.9e-5 on (L, N) = (10, 2000)
+    and 3.4e-4 on (6, 500), but 0.31 on (10, 20) and 4e198 on (1e100, 4),
+    whose levels are correctly rounded yet resolve nothing.  A level that
+    is not positive or not finite lies at a gap of at least 1, or nan.
+    Every refusal is an exception, so a refused grid is never kept.
     """
     x, dx = grid.coordinates()
     at = f"half_width={grid.half_width!r}, points={grid.points!r}"
@@ -259,8 +253,11 @@ def _unit_levels(grid: GridSpec, levels: int) -> np.ndarray:
     if not all(np.all(np.isfinite(d)) and np.all(np.isfinite(e)) for d, e, _ in blocks):
         raise NumericContractError(f"the difference operator is not finite at {at}")
     values = np.sort(np.array([level for d, e, s in blocks if s.size for level in _block_levels(d, e, s)]))
-    if not np.all((values > 0.0) & (values < math.inf)):  # x^2 - d^2/dx^2 is positive definite
-        raise NumericContractError(f"the solve returned levels {values.tolist()!r}, not positive and finite, at {at}")
+    gap = float(np.max(np.abs(values / seeds[:levels] - 1.0)))
+    if not gap <= _GAP_BOUND:  # a nan gap is refused too
+        raise NumericContractError(
+            f"the levels lie {gap:.3g} (relative) from the collocation levels, beyond the bound {_GAP_BOUND!r}, at {at}"
+        )
     values.flags.writeable = False
     return values
 
@@ -269,8 +266,9 @@ def spectrum(spec: OscillatorSpec, grid: GridSpec, levels: int) -> np.ndarray:
     """Lowest eigenvalues of the discretized oscillator, ascending.
 
     For dim = 1 these approximate 2j + h; higher dimensions scale the
-    one-dimensional levels by dim (diagonal levels n*(2j + h)).  Coarse
-    grids produce a warning-carrying result.
+    one-dimensional levels by dim (diagonal levels n*(2j + h)).  A grid
+    whose h-free levels lie more than 1e-3 (relative) from the collocation
+    levels is refused, by a NumericContractError that names it.
 
     h enters the operator only as (h - 1) times the identity, so the levels
     are those of the h-free operator x^2 - d^2/dx^2, shifted by h - 1 and
@@ -284,7 +282,6 @@ def spectrum(spec: OscillatorSpec, grid: GridSpec, levels: int) -> np.ndarray:
     levels = _integer("levels", levels, 1, _SEED_LEVELS)
     if levels > grid.points:
         raise ValueError(f"levels={levels!r} exceeds the grid's points={grid.points!r}")
-    _warn_if_coarse(grid)
     with np.errstate(over="ignore"):
         energies = spec.dim * (_unit_levels(grid, levels) + (spec.h - 1.0))
     if not np.all(np.isfinite(energies)):

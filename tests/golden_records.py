@@ -54,6 +54,7 @@ COMMANDS = {
 }
 
 _TIMESTAMP = re.compile(r',"timestamp":"[^"]*"')
+FIELDS = ("exit_code", "stdout", "stderr", "files")
 
 
 def run(argv: list) -> dict:
@@ -77,6 +78,61 @@ def run(argv: list) -> dict:
     }
 
 
+def _at(values, i):
+    """values[i], or None past the end."""
+    return values[i] if i < len(values) else None
+
+
+def first_difference(expected, actual, path="$"):
+    """(JSON path, old value, new value) of the first value that differs, or None."""
+    if type(expected) is not type(actual):
+        return path, expected, actual
+    if isinstance(expected, dict):
+        unshared = sorted(expected.keys() ^ actual.keys())
+        if unshared:
+            return f"{path}.{unshared[0]}", expected.get(unshared[0]), actual.get(unshared[0])
+        for key in expected:
+            found = first_difference(expected[key], actual[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(expected, list):
+        for i, (e, a) in enumerate(zip(expected, actual)):
+            found = first_difference(e, a, f"{path}[{i}]")
+            if found:
+                return found
+        i = min(len(expected), len(actual))
+        return None if len(expected) == len(actual) else (f"{path}[{i}]", _at(expected, i), _at(actual, i))
+    return None if expected == actual else (path, expected, actual)
+
+
+def first_line(expected: str, actual: str) -> str:
+    """The first line that differs, by number, old -> new."""
+    old, new = expected.splitlines(), actual.splitlines()
+    i = next((i for i, (e, a) in enumerate(zip(old, new)) if e != a), min(len(old), len(new)))
+    return f"line {i + 1}: {_at(old, i)!r} -> {_at(new, i)!r}"
+
+
+def describe(field, expected, actual):
+    """Where a field first differs, old -> new: the JSON path in a run record, else a line."""
+    if field == "exit_code":
+        return f"exit code {expected!r} -> {actual!r}"
+    if field == "files":
+        name = min(n for n in expected.keys() | actual.keys() if expected.get(n) != actual.get(n))
+        if name not in expected or name not in actual:
+            return f"file {name} is {'new' if name in actual else 'missing'}"
+        return f"file {name} {first_line(expected[name], actual[name])}"
+    if field == "stdout":
+        try:
+            found = first_difference(json.loads(expected), json.loads(actual))
+        except ValueError:  # not a run record: --version, or nothing
+            found = None
+        if found:
+            path, old, new = found
+            return f"stdout {path}: {old!r} -> {new!r}"
+    return f"{field} {first_line(expected, actual)}"
+
+
 def regenerate() -> None:
     records = {}
     start = os.getcwd()
@@ -87,6 +143,11 @@ def regenerate() -> None:
                 records[name] = run(argv)
             finally:
                 os.chdir(start)
+    old = json.loads(RECORDS.read_text())["records"] if RECORDS.exists() else {}
+    for name, record in records.items():
+        for field in FIELDS:
+            if name in old and old[name][field] != record[field]:
+                sys.stdout.write(f"{name}: {describe(field, old[name][field], record[field])}\n")
     RECORDS.parent.mkdir(exist_ok=True)
     with open(RECORDS, "w") as handle:
         json.dump({"numpy": np.__version__, "records": records}, handle, indent=1)

@@ -305,7 +305,7 @@ class TestTransformCommand:
         code, out, err = run_cli(capsys, "transform", "--n", "1", "--lambda", "-1", "--alpha", "1")
         assert code == 2
         assert out == ""
-        assert "compression" in err
+        assert err.startswith("error: lambda must be non-negative and finite")
 
     def test_json_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "transform", "--n", "2", "--lambda", "0.5", "--alpha", "2")
@@ -686,7 +686,7 @@ REAL_TEXT = st.one_of(
 INTEGER_TEXT = st.integers(-1, 400).map(str)
 # what a refusal or a failed check names: a parameter, a moment or a reported quantity
 NAMED = re.compile(
-    r"\b(dim|order|alpha|amplitude|compression|lambda|K|var_x|var_p|rhs|norm_sq|ratio|relative_deviation)\b"
+    r"\b(dim|order|alpha|amplitude|lambda|K|var_x|var_p|rhs|norm_sq|ratio|relative_deviation)\b"
 )
 # a refusal names the parameter it refused (and may quote its value); the flag that sets it
 REFUSED = re.compile(r"^error: (\w+)(?: \S+)? must be ")
@@ -695,7 +695,6 @@ FLAG_OF = {
     "order": "--numeric",
     "alpha": "--alpha",
     "amplitude": "--amplitude",
-    "compression": "--lambda",
     "lambda": "--lambda",
     "K": "--K",
     "quantity": "--quantity",

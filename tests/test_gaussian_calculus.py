@@ -405,7 +405,7 @@ def _gaussian(x):
 REAL_PARAMETERS = {
     "QuantParams.alpha": (2.0, lambda x: QuantParams(x).alpha, "alpha", False),
     "GaussianSymbol.amplitude": (2.0, lambda x: GaussianSymbol(1, x).amplitude, "amplitude", False),
-    "GaussianSymbol.compression": (0.5, lambda x: GaussianSymbol(1, 1.0, x).compression, "compression", True),
+    "GaussianSymbol.compression": (0.5, lambda x: GaussianSymbol(1, 1.0, x).compression, "lambda", True),
     "OscillatorSpec.h": (0.5, lambda x: OscillatorSpec(h=x).h, "h", False),
     "GridSpec.half_width": (6.0, lambda x: GridSpec(x, 500).half_width, "half_width", False),
     "purity_index.lam": (0.5, lambda x: purity_index(x, QuantParams(1.0)).lam, "lambda", False),

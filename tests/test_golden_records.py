@@ -8,56 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from golden_records import COMMANDS, RECORDS, run
+from golden_records import COMMANDS, RECORDS, describe, run
 
 GOLDEN = json.loads(RECORDS.read_text())
-
-
-def first_difference(expected, actual, path="$"):
-    """The JSON path of the first value that differs, or None."""
-    if type(expected) is not type(actual):
-        return path
-    if isinstance(expected, dict):
-        unshared = sorted(expected.keys() ^ actual.keys())
-        if unshared:
-            return f"{path}.{unshared[0]}"
-        for key in expected:
-            found = first_difference(expected[key], actual[key], f"{path}.{key}")
-            if found:
-                return found
-        return None
-    if isinstance(expected, list):
-        for i, (e, a) in enumerate(zip(expected, actual)):
-            found = first_difference(e, a, f"{path}[{i}]")
-            if found:
-                return found
-        return None if len(expected) == len(actual) else f"{path}[{min(len(expected), len(actual))}]"
-    return None if expected == actual else path
-
-
-def first_line(expected: str, actual: str) -> int:
-    """The number of the first line that differs."""
-    old, new = expected.splitlines(), actual.splitlines()
-    return next((i for i, (e, a) in enumerate(zip(old, new), 1) if e != a), min(len(old), len(new)) + 1)
-
-
-def describe(field, expected, actual):
-    """Where a field first differs: the JSON path in a run record, else a line."""
-    if field == "exit_code":
-        return f"exit code {actual}, recorded {expected}"
-    if field == "files":
-        name = min(n for n in expected.keys() | actual.keys() if expected.get(n) != actual.get(n))
-        if name not in expected or name not in actual:
-            return f"file {name} is {'new' if name in actual else 'missing'}"
-        return f"file {name} differs at line {first_line(expected[name], actual[name])}"
-    if field == "stdout":
-        try:
-            path = first_difference(json.loads(expected), json.loads(actual))
-        except ValueError:  # not a run record: --version, or nothing
-            path = None
-        if path:
-            return f"stdout differs at {path}"
-    return f"{field} differs at line {first_line(expected, actual)}"
 
 
 def test_commands_are_the_recorded_ones():
@@ -72,3 +25,20 @@ def test_record_is_unchanged(name, tmp_path, monkeypatch):
     for field in ("exit_code", "stdout", "stderr", "files"):
         if actual[field] != expected[field]:
             pytest.fail(f"{name} ({' '.join(COMMANDS[name])}): {describe(field, expected[field], actual[field])}{note}")
+
+
+@pytest.mark.parametrize(
+    "field, expected, actual, said",
+    [
+        ("exit_code", 2, 3, "exit code 2 -> 3"),
+        ("stdout", '{"results": {"levels": [1.0, 3.0]}}', '{"results": {"levels": [1.0, 3.5]}}',
+         "stdout $.results.levels[1]: 3.0 -> 3.5"),
+        ("stdout", '{"results": {}}', '{"results": {"ratio": 1.0}}', "stdout $.results.ratio: None -> 1.0"),
+        ("stdout", "berezin 0.1.0\n", "berezin 0.2.0\n", "stdout line 1: 'berezin 0.1.0' -> 'berezin 0.2.0'"),
+        ("stderr", "error: a\n", "error: a\nerror: b\n", "stderr line 2: None -> 'error: b'"),
+        ("files", {"sweep.csv": "x,y\n1,2\n"}, {"sweep.csv": "x,y\n1,3\n"}, "file sweep.csv line 2: '1,2' -> '1,3'"),
+        ("files", {"sweep.csv": "x\n"}, {}, "file sweep.csv is missing"),
+    ],
+)
+def test_describe_names_the_moved_value_old_to_new(field, expected, actual, said):
+    assert describe(field, expected, actual) == said

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -49,6 +50,20 @@ def sturm_bisection_levels(diagonal, off_diagonal, levels):
     return np.array(values)
 
 
+@pytest.fixture
+def no_gap_bound(monkeypatch):
+    """Lift the refusal by the gap to the collocation levels, for tests of the solver
+    itself on grids that resolve no oscillator; the solves kept meanwhile are dropped."""
+    monkeypatch.setattr(oscillator, "_GAP_BOUND", math.inf)
+    yield
+    _unit_levels.cache_clear()
+
+
+# grids and level counts whose levels lie beyond 1e-3 (relative) of the collocation levels
+UNRESOLVING = [(10.0, 400, 10), (5.0, 100, 3), (3.0, 50, 3), (10.0, 20, 1), (1e100, 4, 2), (1e154, 4, 2)]
+RESOLVING = [GRID, FINE_GRID, GridSpec(6.0, 500)]
+
+
 class TestSpectrum:
     def test_unit_h_levels(self):
         values = spectrum(OscillatorSpec(dim=1, h=1.0), GRID, levels=4)
@@ -84,10 +99,42 @@ class TestSpectrum:
         assert quotient == pytest.approx(level, rel=1e-8)
         assert abs(quotient - (2 * j + h)) < 1e-3
 
-    def test_coarse_grid_warns(self):
-        with pytest.warns(UserWarning, match="resolution"):
-            values = spectrum(OscillatorSpec(), GridSpec(half_width=10.0, points=400), levels=2)
-        assert values.shape == (2,)
+    def test_coarse_grid_is_refused_at_the_levels_it_misses(self):
+        # on 400 points the gap to the collocation levels grows with j: 5.6e-4 at 4 levels, 1.5e-3 at 10
+        coarse = GridSpec(half_width=10.0, points=400)
+        for levels in range(1, 5):
+            assert spectrum(OscillatorSpec(), coarse, levels).shape == (levels,)
+        with pytest.raises(NumericContractError, match=re.escape("half_width=10.0, points=400")):
+            spectrum(OscillatorSpec(), coarse, 10)
+
+    @pytest.mark.parametrize("half_width, points, levels", UNRESOLVING)
+    def test_unresolving_grid_is_refused_and_not_kept(self, half_width, points, levels):
+        # (1e100, 4) and (1e154, 4) returned two equal levels near 4e198 and 4e306: the
+        # correctly rounded levels of grids whose spacing dwarfs the oscillator.  The
+        # refusal is of the h-free levels, so it holds at every h and dim, and keeps nothing.
+        held = _unit_levels.cache_info().currsize
+        named = f"beyond the bound 0.001, at half_width={half_width!r}, points={points!r}"
+        for spec in (OscillatorSpec(), OscillatorSpec(3, 0.5)):
+            with pytest.raises(NumericContractError, match=r"the levels lie \S+ \(relative\) .*" + re.escape(named)):
+                spectrum(spec, GridSpec(half_width, points), levels)
+        assert _unit_levels.cache_info().currsize == held
+
+    @pytest.mark.parametrize("grid", RESOLVING, ids=lambda grid: f"{grid.half_width}-{grid.points}")
+    def test_resolving_grid_is_admitted_at_every_level_count(self, grid):
+        # each level is fixed by the Sturm counts alone, so fewer levels are a prefix of ten
+        ten = spectrum(OscillatorSpec(1, 0.5), grid, 10)
+        for levels in range(1, 11):
+            assert np.array_equal(spectrum(OscillatorSpec(1, 0.5), grid, levels), ten[:levels])
+
+    @pytest.mark.parametrize("half_width, points, levels", [(10.0, 400, 4), (6.0, 500, 10)] + UNRESOLVING)
+    def test_no_grid_warns(self, half_width, points, levels):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                spectrum(OscillatorSpec(), GridSpec(half_width, points), levels)
+            except NumericContractError:
+                pass
+        assert caught == []
 
     def test_level_bounds(self):
         with pytest.raises(ValueError):
@@ -96,7 +143,6 @@ class TestSpectrum:
             spectrum(OscillatorSpec(), GRID, levels=11)
 
     @pytest.mark.parametrize("half_width", [1e200, 1e-200])
-    @pytest.mark.filterwarnings("ignore:grid .* is below the spectral-claim resolution")
     def test_grid_beyond_the_double_range_is_named(self, half_width):
         # the spacing squares to infinity, or to 0, in 2 / dx^2
         named = f"half_width={half_width!r}, points=2000"
@@ -104,8 +150,7 @@ class TestSpectrum:
             spectrum(OscillatorSpec(1, 1.0), GridSpec(half_width, 2000), 4)
 
     @pytest.mark.parametrize("half_width", [1e-80, 1e-150])
-    @pytest.mark.filterwarnings("ignore:grid .* is below the spectral-claim resolution")
-    def test_tiny_box_levels_are_the_difference_laplacian_levels(self, half_width):
+    def test_tiny_box_levels_are_the_difference_laplacian_levels(self, no_gap_bound, half_width):
         # x^2 is below 1e-300 of 1/dx^2 here, and b^2 = 1/dx^4 is beyond the double range
         # unless the solve scales the block; the levels are those of the three-point
         # Laplacian, 4/dx^2 sin^2(k pi / (2(N + 1))), to about eps * 4/dx^2 absolute
@@ -121,7 +166,7 @@ class TestSpectrum:
             spectrum(OscillatorSpec(2, 1e308), GRID, 2)
         # a solve that returns a non-finite value is refused, not returned
         _unit_levels.cache_clear()  # a kept solve of GRID would bypass the patched solver
-        monkeypatch.setattr(oscillator, "_block_levels", lambda *args: [1.0, np.nan])
+        monkeypatch.setattr(oscillator, "_block_levels", lambda d, e, seeds: [np.nan] * len(seeds))
         with pytest.raises(NumericContractError, match=re.escape("half_width=10.0, points=2000")):
             spectrum(OscillatorSpec(), GRID, 2)
 
@@ -131,8 +176,7 @@ class TestSpectrum:
             spectrum(OscillatorSpec(), GridSpec(10.0, 3), 4)
 
     @pytest.mark.parametrize("points", [3, 4, 5, 6, 400, 2000, 4001])
-    @pytest.mark.filterwarnings("ignore:grid .* is below the spectral-claim resolution")
-    def test_split_solve_matches_the_full_operator(self, points):
+    def test_split_solve_matches_the_full_operator(self, no_gap_bound, points):
         # the reference solves all N rows, unsplit: dense eigvalsh where N^3 is cheap,
         # plain Sturm-count bisection beyond
         grid = GridSpec(10.0, points)
@@ -176,16 +220,7 @@ class TestSpectrum:
         unit = spectrum(OscillatorSpec(1, 1.0), GRID, 4)
         assert np.array_equal(spectrum(OscillatorSpec(2, h), GRID, 4), 2 * (unit + (h - 1.0)))
 
-    def test_kept_solve_on_a_coarse_grid_still_warns(self):
-        coarse = GridSpec(10.0, 400)
-        with pytest.warns(UserWarning, match="resolution"):
-            spectrum(OscillatorSpec(), coarse, 2)
-        with pytest.warns(UserWarning, match="resolution") as record:
-            spectrum(OscillatorSpec(1, 0.5), coarse, 2)
-        assert [w.filename for w in record] == [__file__]
-
-    @pytest.mark.filterwarnings("ignore:grid .* is below the spectral-claim resolution")
-    def test_memo_is_bounded(self):
+    def test_memo_is_bounded(self, no_gap_bound):
         bound = _unit_levels.cache_info().maxsize
         for points in range(10, 10 + 2 * bound):
             spectrum(OscillatorSpec(), GridSpec(10.0, points), 2)
@@ -201,23 +236,22 @@ class TestSpectrum:
         assert _unit_levels.cache_info().currsize == 0
 
     @pytest.mark.parametrize("seeds", ["zeros", "reversed", "nan", "shifted"])
-    @pytest.mark.filterwarnings("ignore:grid .* is below the spectral-claim resolution")
-    def test_levels_do_not_depend_on_the_seeds(self, monkeypatch, seeds):
+    def test_levels_do_not_depend_on_the_seeds(self, monkeypatch, no_gap_bound, seeds):
         # seeds far off leave the work to the counts' brackets and to bisection, and
         # each level is still the largest double whose count is j; a nan seed lies
-        # outside every bracket, so Newton starts at 0
+        # outside every bracket, so Newton starts at 0.  Each block is handed the wrong seeds.
         grids = [GridSpec(10.0, points) for points in (3, 4, 5, 6)] + [GRID]
         cases = [(grid, levels) for grid in grids for levels in range(1, min(10, grid.points) + 1)]
         _unit_levels.cache_clear()
         expected = [_unit_levels(grid, levels) for grid, levels in cases]
-        good = _collocation_levels()
+        good, solve = _collocation_levels(), oscillator._block_levels
         wrong = {
-            "zeros": np.zeros_like(good),
-            "reversed": good[::-1].copy(),
-            "nan": np.full_like(good, np.nan),
-            "shifted": good + 1.0,
+            "zeros": np.zeros_like,
+            "reversed": lambda block: good[::-1][: block.size].copy(),  # the highest levels, descending
+            "nan": lambda block: np.full_like(block, np.nan),
+            "shifted": lambda block: block + 1.0,
         }[seeds]
-        monkeypatch.setattr(oscillator, "_collocation_levels", lambda: wrong)
+        monkeypatch.setattr(oscillator, "_block_levels", lambda d, e, block: solve(d, e, wrong(block)))
         _unit_levels.cache_clear()
         for (grid, levels), want in zip(cases, expected):
             assert np.array_equal(_unit_levels(grid, levels), want), (grid, levels)
@@ -248,7 +282,7 @@ class TestSpectrum:
         ],
         ids=["2000-10", "4001-10", "5-5"],
     )
-    def test_levels_are_pinned_to_the_bit(self, grid, levels, pinned):
+    def test_levels_are_pinned_to_the_bit(self, no_gap_bound, grid, levels, pinned):
         # frozen values: a level is fixed by the counts alone, so a change to how the
         # solve brackets or steps toward it must not move a bit
         _unit_levels.cache_clear()
@@ -274,15 +308,25 @@ class TestSpectrum:
         assert passes <= most
 
     @pytest.mark.parametrize("half_width, points, levels", [(1e154, 3, 2), (1.3e154, 3, 3), (1e100, 5, 3)])
-    @pytest.mark.filterwarnings("ignore:grid .* is below the spectral-claim resolution")
     def test_non_positive_level_is_named(self, half_width, points, levels):
         # x^2 - d^2/dx^2 is positive definite; on these grids the scaled block's smallest
-        # entries underflow and level 0 comes out as negative round-off
+        # entries underflow and level 0 comes out as negative round-off, refused with
+        # the levels above it, which lie 1e198 to 1e307 from the collocation levels
         _unit_levels.cache_clear()
-        named = f"not positive and finite, at half_width={half_width!r}, points={points!r}"
+        named = f"beyond the bound 0.001, at half_width={half_width!r}, points={points!r}"
         for _ in range(2):
             with pytest.raises(NumericContractError, match=re.escape(named)):
                 spectrum(OscillatorSpec(), GridSpec(half_width, points), levels)
+        assert _unit_levels.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("level", [-8.881784197001252e-16, 0.0])
+    def test_lone_non_positive_level_is_refused(self, monkeypatch, level):
+        # a level that is not positive lies at a gap of at least 1 from the collocation level
+        _unit_levels.cache_clear()  # a kept solve of GRID would bypass the patched solver
+        monkeypatch.setattr(oscillator, "_block_levels", lambda *args: [level])
+        named = "the levels lie 1 (relative) from the collocation levels, beyond the bound 0.001, at half_width=10.0"
+        with pytest.raises(NumericContractError, match=re.escape(named)):
+            spectrum(OscillatorSpec(), GRID, 1)
         assert _unit_levels.cache_info().currsize == 0
 
     def test_non_finite_operator_is_named(self):
@@ -316,6 +360,10 @@ class TestCollocation:
         _collocation_levels.cache_clear()
         _unit_levels.cache_clear()
         try:
+            # spectrum itself refuses levels so far from the broken collocation levels
+            with pytest.raises(NumericContractError, match="from the collocation levels"):
+                verify.run_suites("spectrum")
+            monkeypatch.setattr(oscillator, "_GAP_BOUND", math.inf)
             broken = verify.run_suites("spectrum")
         finally:
             _collocation_levels.cache_clear()
