@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from golden_records import COMMANDS, RECORDS, describe, run
+from golden_records import COMMANDS, FIELDS, RECORDS, describe, run
 
 GOLDEN = json.loads(RECORDS.read_text())
 
@@ -22,7 +22,7 @@ def test_record_is_unchanged(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     expected, actual = GOLDEN["records"][name], run(COMMANDS[name])
     note = f" (records made with numpy {GOLDEN['numpy']}, running {np.__version__})"
-    for field in ("exit_code", "stdout", "stderr", "files"):
+    for field in FIELDS:
         if actual[field] != expected[field]:
             pytest.fail(f"{name} ({' '.join(COMMANDS[name])}): {describe(field, expected[field], actual[field])}{note}")
 
