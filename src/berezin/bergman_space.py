@@ -56,10 +56,12 @@ class TraceReport:
 def trace(g: GaussianSymbol, q: QuantParams) -> float:
     """Closed-form inner-product trace of a Gaussian symbol.
 
-    Tr(g) = amplitude * (alpha/(alpha + lam))^(n/2); constants trace to their
-    amplitude, and Tr -> g(0) as alpha -> infinity.
+    Tr(g) = amplitude * (alpha/(alpha + lam))^(n/2), the amplitude of the
+    closed transform; constants trace to their amplitude, and Tr -> g(0) as
+    alpha -> infinity.  A trace that underflows to 0 raises
+    NumericContractError, as the transform does.
     """
-    return g.amplitude * _half_power(q.alpha / (q.alpha + g.compression), g.dim)
+    return berezin_transform_closed(g, q).amplitude
 
 
 def trace_numeric(g: GaussianSymbol, q: QuantParams, order: int = 80) -> float:
@@ -91,7 +93,11 @@ def purity_index(lam: float, q: QuantParams, dim: int = 1) -> TraceReport:
     `NumericContractError`, naming the smaller.
     """
     lam = _real("lambda", lam)
-    raw = trace(_squared_transform(lam, q, dim), q)
+    squared = _squared_transform(lam, q, dim)
+    try:
+        raw = trace(squared, q)
+    except NumericContractError:  # the raw trace underflows to 0, named below
+        raw = 0.0
     normalized = _half_power(q.alpha / (q.alpha + 3.0 * lam), dim)
     # both are positive in exact arithmetic; the smaller one is named
     name, value = min((("raw trace", raw), ("normalized trace", normalized)), key=lambda item: item[1])

@@ -16,10 +16,12 @@ and the odd block the odd ones.  h enters H only as a multiple of the
 identity, so the h-free operator x^2 - d^2/dx^2 is solved once per (grid,
 levels), kept in a memo of 16 pairs, and every call shifts the result by
 h - 1 and scales it by dim.  The solve uses numpy and plain Python only:
-each level of a block starts from the block's Gershgorin bracket, which
-counts of negative LDL^T pivots (Sturm counts) narrow, is reached by
+each level of a block starts from the block's own Gershgorin bracket,
+which counts of negative LDL^T pivots (Sturm counts) narrow, is reached by
 safeguarded Newton steps on log|det(T - x)| from a seed, and is pinned by
-bisection on the counts to the double where the count changes.  The seeds
+bisection on the counts to the double where the count changes.  One pass
+over the rows forms each pivot once, for the count and for Newton's slope
+alike, so every count comes from the same recurrence.  The seeds
 are the levels of a second, spectrally accurate route: Fourier collocation
 of x^2 - d^2/dx^2 (Trefethen's Program 8), which `verify` also checks
 against 2j + h.  They also bound the solve's error: a grid whose levels lie
@@ -122,27 +124,15 @@ def _collocation_levels() -> np.ndarray:
     return levels
 
 
-def _negative_pivots(rows: list, x: float) -> int:
-    """How many levels lie below x: the negative pivots d_i of T - x = L D L^T.
+def _pivots(rows: list, x: float, newton: bool = False) -> tuple[int, float]:
+    """How many levels lie below x, and for a Newton pass d/dx log|det(T - x)|.
 
-    Each row is (a_i, b_{i-1}^2), and d_i = a_i - x - b_{i-1}^2 / d_{i-1}
-    (Barth, Martin & Wilkinson, Numer. Math. 9, 1967); a zero pivot counts
-    as negative.  `_newton_pass` forms each pivot by the same operations, so
-    the two agree on every count; this pass, without the slope, costs about
-    half as much.
+    The count is of the negative pivots d_i of T - x = L D L^T: each row is
+    (a_i, b_{i-1}^2), and d_i = a_i - x - b_{i-1}^2 / d_{i-1} (Barth, Martin
+    & Wilkinson, Numer. Math. 9, 1967); a zero pivot counts as negative.
+    The slope is the sum of d_i' / d_i, formed in the same loop from the
+    same pivots; a count-only pass (newton=False) skips it and returns 0.
     """
-    pivot, below = 1.0, 0
-    for a, b2 in rows:
-        pivot = a - x - b2 / pivot
-        if pivot == 0.0:
-            pivot = -sys.float_info.min
-        if pivot < 0.0:
-            below += 1
-    return below
-
-
-def _newton_pass(rows: list, x: float) -> tuple[int, float]:
-    """`_negative_pivots` at x, and d/dx log|det(T - x)| = sum of d_i' / d_i from the same pass."""
     pivot, ratio, slope, below = 1.0, 0.0, 0.0, 0
     for a, b2 in rows:
         coupling = b2 / pivot
@@ -151,54 +141,54 @@ def _newton_pass(rows: list, x: float) -> tuple[int, float]:
             pivot = -sys.float_info.min
         if pivot < 0.0:
             below += 1
-        ratio = (coupling * ratio - 1.0) / pivot  # d_i' = -1 + (b^2 / d_{i-1}) * (d_{i-1}' / d_{i-1})
-        slope += ratio
+        if newton:
+            ratio = (coupling * ratio - 1.0) / pivot  # d_i' = -1 + (b^2 / d_{i-1}) * (d_{i-1}' / d_{i-1})
+            slope += ratio
     return below, slope
 
 
 def _block_levels(diagonal: np.ndarray, off_diagonal: np.ndarray, seeds: np.ndarray) -> list[float]:
     """The len(seeds) lowest eigenvalues of a symmetric tridiagonal block, ascending.
 
-    seeds[j] estimates level j.  The block is scaled by a power of two to
-    entries below 1/4, so no b^2 leaves the double range and every level
-    lies in (-2, 2), where the counts are 0 and the row count (Gershgorin).
+    seeds[j] estimates level j.  Every level lies in the Gershgorin bracket
+    (-r, r), r = max|a_i| + 2 max|b_i|, where the counts are 0 and the row
+    count.
     """
-    exponent = math.frexp(max(float(np.abs(diagonal).max()), float(np.abs(off_diagonal).max(initial=0.0))))[1] + 2
-    scale = math.ldexp(1.0, -exponent)
-    off_diagonal = off_diagonal * scale
-    rows = list(zip((diagonal * scale).tolist(), [0.0] + (off_diagonal * off_diagonal).tolist()))
-    seeds = (seeds * scale).tolist()  # Python floats: numpy scalars slow each pass threefold
-    return [_level(rows, j, seed) / scale for j, seed in enumerate(seeds)]  # inf on overflow
+    radius = float(np.abs(diagonal).max() + 2.0 * np.abs(off_diagonal).max(initial=0.0))
+    # Python floats: numpy scalars slow each pass threefold
+    rows = list(zip(diagonal.tolist(), [0.0] + (off_diagonal * off_diagonal).tolist()))
+    return [_level(rows, j, seed, radius) for j, seed in enumerate(seeds.tolist())]
 
 
-def _level(rows: list, j: int, seed: float) -> float:
-    """Level j of a scaled block: the largest double whose count is at most j.
+def _level(rows: list, j: int, seed: float, radius: float) -> float:
+    """Level j of a block: the largest double whose count is at most j.
 
-    The bracket [lo, hi] starts at (-2, 2), where count(lo) <= j < count(hi).
-    Newton steps on log|det(T - x)| start from the seed, or from 0 if the
-    seed lies outside, and each pass moves lo or hi by its count; a step
-    that leaves the bracket is replaced by a bisection step.  Once a step is
-    below round-off, the count changes within about one epsilon of x (at
-    most 0.71 eps, measured at N = 400 to 4001), so counts at x -+ 2 eps
-    narrow the bracket, and bisection ends it at two adjacent doubles.  The
-    level is lo: a point fixed by the counts alone, whatever the seed or the
-    Newton path.
+    The bracket [lo, hi] starts at (-radius, radius), where count(lo) <= j <
+    count(hi).  Newton steps on log|det(T - x)| start from the seed, or from
+    0 if the seed lies outside, and each pass moves lo or hi by its count; a
+    step that leaves the bracket is replaced by a bisection step.  Once a
+    step is below one ulp of the radius, eps * radius, the count changes
+    within that distance of x (at most 0.96 of it, measured at N = 400 to
+    4001), so counts at x -+ eps * radius narrow the bracket, and bisection
+    ends it at two adjacent doubles.  The level is lo: a point fixed by the
+    counts alone, whatever the seed, the Newton path or the probes' width.
     """
-    lo, hi = -2.0, 2.0
+    lo, hi = -radius, radius
+    ulp = _EPS * radius
     x = seed if lo < seed < hi else 0.0
     for _ in range(_NEWTON_STEPS):
-        below, slope = _newton_pass(rows, x)
+        below, slope = _pivots(rows, x, newton=True)
         lo, hi = (x, hi) if below <= j else (lo, x)
-        if abs(slope) * _EPS >= 1.0:  # the step 1 / slope is below round-off
+        if abs(slope) * ulp >= 1.0:  # the step 1 / slope is below one ulp of the radius
             break
         x = x - 1.0 / slope if slope else hi
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-    for x in (x - 2.0 * _EPS, x + 2.0 * _EPS):
+    for x in (x - ulp, x + ulp):
         if lo < x < hi:
-            lo, hi = (x, hi) if _negative_pivots(rows, x) <= j else (lo, x)
+            lo, hi = (x, hi) if _pivots(rows, x)[0] <= j else (lo, x)
     while lo < (x := 0.5 * (lo + hi)) < hi:
-        lo, hi = (x, hi) if _negative_pivots(rows, x) <= j else (lo, x)
+        lo, hi = (x, hi) if _pivots(rows, x)[0] <= j else (lo, x)
     return lo
 
 
@@ -214,9 +204,9 @@ def _unit_levels(grid: GridSpec, levels: int) -> np.ndarray:
     block holds levels 0, 2, 4, ... and the odd block levels 1, 3, 5, ...
     `_block_levels` solves each block from the collocation levels of the
     same parity, in passes over each block's N/2 rows: a cold solve of 4
-    levels at N = 4001 takes 90 passes, 11-12 ms on a 2-vCPU Xeon VM (min
-    of 15), and a repeat from the memo about 11 us.  The cost grows as N,
-    the practical ceiling on `points`.
+    levels at N = 4001 takes 82 passes (11 with Newton's slope), about
+    10 ms on a 2-vCPU Xeon VM (min of 40), and a repeat from the memo
+    about 8 us.  The cost grows as N, the practical ceiling on `points`.
 
     The solve is refused, by a NumericContractError naming the grid, when
     its gap max_j |level_j / coll_j - 1| to the collocation levels coll_j
@@ -250,7 +240,9 @@ def _unit_levels(grid: GridSpec, levels: int) -> np.ndarray:
     seeds = _collocation_levels()
     # level j of the operator is level j // 2 of its parity's block
     blocks = ((*even, seeds[0::2][: (levels + 1) // 2]), (*odd, seeds[1::2][: levels // 2]))
-    if not all(np.all(np.isfinite(d)) and np.all(np.isfinite(e)) for d, e, _ in blocks):
+    with np.errstate(over="ignore"):  # the passes take b^2 = 1/dx^4, which overflows before 1/dx^2
+        finite = all(np.all(np.isfinite(d)) and np.all(np.isfinite(e * e)) for d, e, _ in blocks)
+    if not finite:
         raise NumericContractError(f"the difference operator is not finite at {at}")
     values = np.sort(np.array([level for d, e, s in blocks if s.size for level in _block_levels(d, e, s)]))
     gap = float(np.max(np.abs(values / seeds[:levels] - 1.0)))

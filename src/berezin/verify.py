@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from itertools import combinations_with_replacement
+from itertools import product
 from typing import Iterable
 
 import numpy as np
@@ -135,28 +135,16 @@ def _suite_expansion(seed: int) -> list[CheckResult]:
 # -- suite: star product --------------------------------------------------------
 
 
-def _multi_indices(total: int, dim: int) -> Iterable[tuple]:
-    """All beta in N^dim with |beta| = total."""
-    if total == 0:
-        yield (0,) * dim
-        return
-    for combo in combinations_with_replacement(range(dim), total):
-        beta = [0] * dim
-        for axis in combo:
-            beta[axis] += 1
-        yield tuple(beta)
-
-
 @functools.cache
 def _all_exponent_pairs(dim: int, degree: int) -> tuple:
-    # fixed enumeration order keeps seeded draws reproducible; built once per (dim, degree)
-    pairs = []
-    for total in range(degree + 1):
-        for split in range(total + 1):
-            for beta in _multi_indices(split, dim):
-                for gamma in _multi_indices(total - split, dim):
-                    pairs.append((beta, gamma))
-    return tuple(pairs)
+    """Every (beta, gamma) in N^dim x N^dim with |beta| + |gamma| <= degree, built once per (dim, degree).
+
+    The order is fixed, so seeded draws are reproducible: by |beta| + |gamma|,
+    then |beta|, then beta and then gamma in descending order.
+    """
+    exponents = product(range(degree + 1), repeat=dim)
+    pairs = [(b, g) for b, g in product(exponents, repeat=2) if sum(b) + sum(g) <= degree]
+    return tuple(sorted(pairs, key=lambda p: (sum(p[0]) + sum(p[1]), sum(p[0]), [-k for k in p[0] + p[1]])))
 
 
 def _random_polynomial(rng: np.random.Generator, dim: int, degree: int = 3, terms: int = 4) -> PolynomialSymbol:

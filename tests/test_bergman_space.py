@@ -9,6 +9,7 @@ from berezin import (
     GaussianSymbol,
     QuantParams,
     TraceReport,
+    berezin_transform_closed,
     berezin_transform_numeric,
     purity_index,
     trace,
@@ -59,6 +60,14 @@ class TestTrace:
         g = GaussianSymbol(dim, 1.5, lam)
         q = QuantParams(alpha)
         assert trace_numeric(g, q) == pytest.approx(trace(g, q), rel=1e-9)
+
+    def test_underflowing_trace_is_refused_as_the_transform_is(self):
+        # amplitude * (alpha/(alpha + lam))^(n/2) = 1e-300 * 1e-310 underflows to 0
+        g, q = GaussianSymbol(1, 1e-300, 1e300), QuantParams(1e-10)
+        named = "transformed amplitude underflows to 0 at amplitude=1e-300, lambda=1e+300, alpha=1e-10, n=1"
+        for refused in (berezin_transform_closed, trace):
+            with pytest.raises(NumericContractError, match="^" + re.escape(named) + "$"):
+                refused(g, q)
 
     def test_numeric_trace_is_transform_at_origin(self):
         for g in (GaussianSymbol(1, 1.0, 1.0), GaussianSymbol(2, 1.5, 0.7), GaussianSymbol(3, 1.0, 1.2)):

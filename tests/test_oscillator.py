@@ -65,6 +65,44 @@ def no_gap_bound(monkeypatch):
 UNRESOLVING = [(10.0, 400, 10), (5.0, 100, 3), (3.0, 50, 3), (10.0, 20, 1), (1e100, 4, 2), (1e154, 4, 2)]
 RESOLVING = [GRID, FINE_GRID, GridSpec(6.0, 500)]
 
+# frozen h-free levels of four admitted grids and of a 5-point one, hex by hex
+PINNED = [
+    (
+        GRID,
+        10,
+        "0x1.ffff2e7e35fffp-1 0x1.7ffefa1d70fffp+1 0x1.3ffeab8c307ffp+2 0x1.bffd7147ad7ffp+2 "
+        "0x1.1ffde72057bffp+3 0x1.5ffce13b5b3ffp+3 0x1.9ffba6f4a03ffp+3 0x1.dffa384be6c00p+3 "
+        "0x1.0ffc4aa077600p+4 0x1.2ffb5ee9bbe00p+4",
+    ),
+    (
+        FINE_GRID,
+        10,
+        "0x1.ffffcb9f90000p-1 0x1.7fffbe877c000p+1 0x1.3fffaae352000p+2 0x1.bfff5c52a2000p+2 "
+        "0x1.1fff79c8d3000p+3 0x1.5fff38502d000p+3 0x1.9ffee9bf59000p+3 0x1.dffe8e1654fffp+3 "
+        "0x1.0fff12aa8d7ffp+4 0x1.2ffed7bdd3800p+4",
+    ),
+    (
+        GridSpec(10.0, 5),
+        5,
+        "0x1.6da7840e442ffp-3 0x1.694ecaa508f45p+3 0x1.695abbef8ba6cp+3 0x1.64ff5c2144050p+5 "
+        "0x1.64ff5c219f51ap+5",
+    ),
+    (
+        GridSpec(6.0, 500),
+        10,
+        "0x1.fffb4cd08f7ffp-1 0x1.7ffa1ff9a71ffp+1 0x1.3ff85cb4890ffp+2 0x1.bff14fb0c5300p+2 "
+        "0x1.1ff3f4719b07fp+3 0x1.5fee142ab027fp+3 0x1.9fe707737c07fp+3 0x1.dfded1cbdf380p+3 "
+        "0x1.0feac49fc0e3fp+4 0x1.2fe5d0bfa1bc0p+4",
+    ),
+    (
+        GridSpec(10.0, 400),
+        6,
+        "0x1.ffeb9e6ccbe00p-1 0x1.7fe685381f280p+1 0x1.3fdedf34f5a40p+2 0x1.bfc0485fe0ac0p+2 "
+        "0x1.1fcbbe71f479fp+3 0x1.5fb23dc3d4ce0p+3",
+    ),
+]
+PINNED_IDS = ["2000-10", "4001-10", "5-5", "500-10", "400-6"]
+
 
 class TestSpectrum:
     def test_unit_h_levels(self):
@@ -148,15 +186,18 @@ class TestSpectrum:
             spectrum(OscillatorSpec(1, 1.0), GridSpec(half_width, 2000), 4)
 
     @pytest.mark.parametrize("half_width", [1e-80, 1e-150])
-    def test_tiny_box_levels_are_the_difference_laplacian_levels(self, no_gap_bound, half_width):
-        # x^2 is below 1e-300 of 1/dx^2 here, and b^2 = 1/dx^4 is beyond the double range
-        # unless the solve scales the block; the levels are those of the three-point
-        # Laplacian, 4/dx^2 sin^2(k pi / (2(N + 1))), to about eps * 4/dx^2 absolute
-        grid = GridSpec(half_width, 2000)
-        _, dx = grid.coordinates()
-        k = np.arange(1, 5)
-        box = 4.0 / dx**2 * np.sin(k * np.pi / (2 * (grid.points + 1))) ** 2
-        np.testing.assert_allclose(spectrum(OscillatorSpec(), grid, 4), box, rtol=1e-9)
+    def test_tiny_box_is_refused_and_not_kept(self, no_gap_bound, half_width):
+        # 1/dx^2 is finite here but b^2 = 1/dx^4, which each pass takes, is not;
+        # the solve refuses it before any pass, even with the gap bound lifted (the
+        # levels, near 4/dx^2 sin^2(k pi / (2(N + 1))), would lie 1e160 and 1e300 from it)
+        held = _unit_levels.cache_info().currsize
+        named = f"the difference operator is not finite at half_width={half_width!r}, points=2000"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericContractError, match=re.escape(named)):
+                spectrum(OscillatorSpec(), GridSpec(half_width, 2000), 4)
+        assert caught == []
+        assert _unit_levels.cache_info().currsize == held
 
     def test_non_finite_levels_are_named(self, monkeypatch):
         # the levels dim * (2j + h) overflow at dim 2
@@ -257,62 +298,47 @@ class TestSpectrum:
         for (grid, levels), want in zip(cases, expected):
             assert np.array_equal(_unit_levels(grid, levels), want), (grid, levels)
 
-    @pytest.mark.parametrize(
-        "grid, levels, pinned",
-        [
-            (
-                GRID,
-                10,
-                "0x1.ffff2e7e35fffp-1 0x1.7ffefa1d70fffp+1 0x1.3ffeab8c307ffp+2 0x1.bffd7147ad7ffp+2 "
-                "0x1.1ffde72057bffp+3 0x1.5ffce13b5b3ffp+3 0x1.9ffba6f4a03ffp+3 0x1.dffa384be6c00p+3 "
-                "0x1.0ffc4aa077600p+4 0x1.2ffb5ee9bbe00p+4",
-            ),
-            (
-                FINE_GRID,
-                10,
-                "0x1.ffffcb9f90000p-1 0x1.7fffbe877c000p+1 0x1.3fffaae352000p+2 0x1.bfff5c52a2000p+2 "
-                "0x1.1fff79c8d3000p+3 0x1.5fff38502d000p+3 0x1.9ffee9bf59000p+3 0x1.dffe8e1654fffp+3 "
-                "0x1.0fff12aa8d7ffp+4 0x1.2ffed7bdd3800p+4",
-            ),
-            (
-                GridSpec(10.0, 5),
-                5,
-                "0x1.6da7840e442ffp-3 0x1.694ecaa508f45p+3 0x1.695abbef8ba6cp+3 0x1.64ff5c2144050p+5 "
-                "0x1.64ff5c219f51ap+5",
-            ),
-        ],
-        ids=["2000-10", "4001-10", "5-5"],
-    )
+    @pytest.mark.parametrize("grid, levels, pinned", PINNED, ids=PINNED_IDS)
     def test_levels_are_pinned_to_the_bit(self, no_gap_bound, grid, levels, pinned):
         # frozen values: a level is fixed by the counts alone, so a change to how the
         # solve brackets or steps toward it must not move a bit
         _unit_levels.cache_clear()
         assert [float(v).hex() for v in _unit_levels(grid, levels)] == pinned.split()
 
-    @pytest.mark.parametrize("grid, levels, most", [(FINE_GRID, 4, 94), (GRID, 10, 205)], ids=["4001-4", "2000-10"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_levels_do_not_depend_on_the_probe_window(self, monkeypatch, no_gap_bound, eps):
+        # _EPS sets where Newton stops and how far the two probes lie from its last
+        # step; with no window (eight Newton steps, probes at the step itself) or a
+        # wide one, bisection on the counts ends at the same double
+        cases = [(grid, levels) for grid, levels, _ in PINNED]
+        _unit_levels.cache_clear()
+        expected = [_unit_levels(grid, levels) for grid, levels in cases]
+        monkeypatch.setattr(oscillator, "_EPS", eps)
+        _unit_levels.cache_clear()
+        for (grid, levels), want in zip(cases, expected):
+            assert np.array_equal(_unit_levels(grid, levels), want), (grid, levels)
+
+    @pytest.mark.parametrize("grid, levels, most", [(FINE_GRID, 4, 90), (GRID, 10, 190)], ids=["4001-4", "2000-10"])
     def test_cold_solve_pass_count(self, monkeypatch, grid, levels, most):
         # every pass walks the rows of a block once, so the count stands in for the time
-        passes = 0
+        passes, solve = {True: 0, False: 0}, oscillator._pivots
 
-        def counting(solve):
-            def counted(*args):
-                nonlocal passes
-                passes += 1
-                return solve(*args)
+        def counted(rows, x, **kwargs):
+            passes[kwargs.get("newton", False)] += 1
+            return solve(rows, x, **kwargs)
 
-            return counted
-
-        for name in ("_negative_pivots", "_newton_pass"):
-            monkeypatch.setattr(oscillator, name, counting(getattr(oscillator, name)))
+        monkeypatch.setattr(oscillator, "_pivots", counted)
         _unit_levels.cache_clear()
         _unit_levels(grid, levels)
-        assert passes <= most
+        assert 0 < passes[True] <= oscillator._NEWTON_STEPS * levels  # Newton passes
+        assert passes[False] > 0  # count-only passes, which pin each level by bisection
+        assert passes[True] + passes[False] <= most
 
     @pytest.mark.parametrize("half_width, points, levels", [(1e154, 3, 2), (1.3e154, 3, 3), (1e100, 5, 3)])
     def test_non_positive_level_is_named(self, half_width, points, levels):
-        # x^2 - d^2/dx^2 is positive definite; on these grids the scaled block's smallest
-        # entries underflow and level 0 comes out as negative round-off, refused with
-        # the levels above it, which lie 1e198 to 1e307 from the collocation levels
+        # level 0 is about 2/dx^2, 5e-308 to 4e-199 here: not negative, but a gap of 1 from
+        # the collocation level, as a non-positive level would be; it is refused with the
+        # levels above it, which lie 1e198 to 1e307 away
         _unit_levels.cache_clear()
         named = f"beyond the bound 0.001, at half_width={half_width!r}, points={points!r}"
         for _ in range(2):
