@@ -87,25 +87,32 @@ def parse_point(text: str) -> ComplexPoint:
     """Parse 're,im;re,im;...' into a point (one 're,im' pair per coordinate)."""
     coords = []
     for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"coordinate {chunk!r} is not of the form re,im")
-        coords.append(complex(float(parts[0]), float(parts[1])))
+        try:
+            re_part, im_part = chunk.split(",")
+            coords.append(complex(float(re_part), float(im_part)))
+        except ValueError:
+            raise ValueError(f"point {text!r} is not of the form 're,im;re,im;...': coordinate {chunk!r}") from None
     return ComplexPoint(tuple(coords))
 
 
 def parse_grid(text: str) -> list[float]:
     """Parse a comma list, 'logspace:a:b:num', or 'linspace:a:b:num'."""
-    if text.startswith(("logspace:", "linspace:")):
+    try:
+        if not text.startswith(("logspace:", "linspace:")):
+            return [float(v) for v in text.split(",")]  # '' is one empty item, which float refuses
         kind, start, stop, num = text.split(":")
-        count = int(num)
-        if count < 1:
-            raise ValueError("grid needs at least one value")
-        import numpy as np
+        start, stop, count = float(start), float(stop), int(num)
+    except ValueError:
+        raise ValueError(
+            f"grid {text!r} is not a comma list '0.5,1,2', 'logspace:a:b:num' or 'linspace:a:b:num'"
+        ) from None
+    if count < 1:
+        raise ValueError("grid needs at least one value")
+    import numpy as np
 
-        fn = np.logspace if kind == "logspace" else np.linspace
-        return [float(v) for v in fn(float(start), float(stop), count)]
-    return [float(v) for v in text.split(",")]  # '' is one empty item, which float refuses
+    fn = np.logspace if kind == "logspace" else np.linspace
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan is refused by the parameter it sets
+        return [float(v) for v in fn(start, stop, count)]
 
 
 # -- commands -----------------------------------------------------------------

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian_calculus import _integer, _real
-from .quadrature import NumericContractError, gauss_hermite, integrate
+from .quadrature import NumericContractError, gauss_hermite
 
 __all__ = [
     "GridSpec",
@@ -214,29 +214,31 @@ def _unit_levels(grid: GridSpec, levels: int) -> np.ndarray:
     and 3.4e-4 on (6, 500), but 0.31 on (10, 20) and 4e198 on (1e100, 4),
     whose levels are correctly rounded yet resolve nothing.  A level that
     is not positive or not finite lies at a gap of at least 1, or nan.
-    Every refusal is an exception, so a refused grid is never kept.
+    Before any pass, a grid whose operator entries are not finite (dx^2
+    beyond the double range or 0, or b^2 = 1/dx^4 overflowing) is refused
+    as "the difference operator is not finite", naming the grid.  Every
+    refusal is an exception, so a refused grid is never kept.
     """
     x, dx = grid.coordinates()
     at = f"half_width={grid.half_width!r}, points={grid.points!r}"
-    try:
-        coupling = -1.0 / dx**2
-        with np.errstate(over="ignore"):  # an overflowing entry is refused below, by name
-            half = x[grid.points // 2 :]
-            diagonal = half * half + 2.0 / dx**2
-            off_diagonal = np.full(half.size - 1, coupling)
-            if grid.points % 2:
-                # x = 0 is a row of its own: an even vector couples it to both
-                # neighbours (2 * coupling, symmetrized to sqrt(2) * coupling); an odd one is 0 there
-                even = (diagonal, np.concatenate(([math.sqrt(2.0) * coupling], off_diagonal[1:])))
-                odd = (diagonal[1:], off_diagonal[1:])
-            else:
-                # the mirror neighbour of the first row holds the same value, or its negative
-                mirror = np.zeros_like(diagonal)
-                mirror[0] = coupling
-                even = (diagonal + mirror, off_diagonal)
-                odd = (diagonal - mirror, off_diagonal)
-    except (OverflowError, ZeroDivisionError) as exc:  # dx**2 beyond the double range, or 0
-        raise NumericContractError(f"grid spacing {dx!r} squares out of the double range at {at}") from exc
+    # a dx^2 beyond the double range, or 0, makes an entry inf or nan, refused below by name
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        square = np.float64(dx) ** 2
+        coupling = -1.0 / square
+        half = x[grid.points // 2 :]
+        diagonal = half * half + 2.0 / square
+        off_diagonal = np.full(half.size - 1, coupling)
+        if grid.points % 2:
+            # x = 0 is a row of its own: an even vector couples it to both
+            # neighbours (2 * coupling, symmetrized to sqrt(2) * coupling); an odd one is 0 there
+            even = (diagonal, np.concatenate(([math.sqrt(2.0) * coupling], off_diagonal[1:])))
+            odd = (diagonal[1:], off_diagonal[1:])
+        else:
+            # the mirror neighbour of the first row holds the same value, or its negative
+            mirror = np.zeros_like(diagonal)
+            mirror[0] = coupling
+            even = (diagonal + mirror, off_diagonal)
+            odd = (diagonal - mirror, off_diagonal)
     seeds = _collocation_levels()
     # level j of the operator is level j // 2 of its parity's block
     blocks = ((*even, seeds[0::2][: (levels + 1) // 2]), (*odd, seeds[1::2][: levels // 2]))
@@ -301,12 +303,6 @@ class UncertaintyReport:
     ratio: float
     norm_sq: float
 
-    def __post_init__(self):
-        for name in ("lam", "amplitude", "var_x", "var_p", "rhs", "ratio", "norm_sq"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
-
     @property
     def var_x_normalized(self) -> float:
         return self.var_x / self.norm_sq
@@ -358,15 +354,21 @@ def uncertainty_report(lam: float, amplitude: float = 1.0) -> UncertaintyReport:
 def uncertainty_quadrature(lam: float, amplitude: float = 1.0) -> UncertaintyReport:
     """Recompute the uncertainty moments by the order-80 Gauss-Hermite rule.
 
-    Integrates x^2 psi^2, (d psi/dx)^2 (analytic derivative), and psi^2
-    directly; an independent route to the closed forms.
+    Sums x^2 psi^2 and psi^2 on the rule's nodes scaled to the weight
+    exp(-a x^2), a = lam/(1+lam), and forms (d psi/dx)^2 from the first
+    (analytic derivative); an independent route to the closed forms.  A
+    moment beyond the double range is refused by name, as in
+    `uncertainty_report`.
     """
     lam, amplitude = _real("lambda", lam), _real("K", amplitude)
     k2 = amplitude * amplitude
     a = lam / (1.0 + lam)
     rule = gauss_hermite(80)
-    second_moment = float(integrate(lambda u: u * u, rule, 1, scale=a))
-    mass = float(integrate(lambda u: np.ones_like(u), rule, 1, scale=a))
+    t = rule.nodes / math.sqrt(a)
+    norm = 1.0 / math.sqrt(a)
+    with np.errstate(over="ignore"):  # an overflowing moment is refused by `_report`, by name
+        second_moment = float(((t * t) * rule.weights).sum() * norm)
+        mass = float(rule.weights.sum() * norm)
     var_x = k2 * second_moment
     # a * a is sub-normal below lambda ~ 1e-154, and k2 * a below K^2 * lambda ~ 1e-308
     var_p = k2 * (a * (a * second_moment))

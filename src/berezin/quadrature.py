@@ -42,7 +42,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .gaussian_calculus import GaussianSymbol, NumericContractError, PointLike, QuantParams, _integer, _real, as_point
+from .gaussian_calculus import GaussianSymbol, NumericContractError, PointLike, QuantParams, _integer, as_point
 
 __all__ = [
     "MonteCarloConfig",
@@ -172,28 +172,24 @@ def _check_finite(vals: np.ndarray, axes, head: tuple) -> None:
         raise NumericContractError(f"integrand is non-finite at node {node}")
 
 
-def integrate(fn: Callable, rule: QuadratureRule1D, d: int, scale: float = 1.0):
-    """Tensor quadrature of  int fn(x) * exp(-scale * |x|^2) dx  on R^d.
+def integrate(fn: Callable, rule: QuadratureRule1D, d: int):
+    """Tensor quadrature of  int fn(x) * exp(-|x|^2) dx  on R^d.
 
     The one rule sits on every one of the d axes.  `fn` must accept d
-    broadcastable coordinate arrays and evaluate vectorized.  The Gaussian
-    factor is handled analytically by node scaling; d <= 4.  Non-finite
-    integrand values raise, naming the node, and a weighted sum beyond the
-    double range raises, naming it and the scale.  One loop evaluates,
+    broadcastable coordinate arrays and evaluate vectorized; d <= 4.
+    Non-finite integrand values raise, naming the node, and a weighted sum
+    beyond the double range raises, naming it.  One loop evaluates,
     checks and sums slabs: a d <= 2 grid is one slab of weight 1, a d in
     {3, 4} grid one slab per node of its first axis (with that node's
     weight), which bounds memory to m^(d-1) values.  Slabs and their total
     are summed by numpy's fixed-order pairwise reduction.
     """
     d = _integer("d", d, 1, MAX_TENSOR_DIM)
-    scale = _real("scale", scale)
-    axis = rule.nodes / math.sqrt(scale)
-    norm = math.prod([1.0 / math.sqrt(scale)] * d)
     if d <= 2:
         heads, head_weights, slab_dim = [()], [1.0], d
     else:
-        heads, head_weights, slab_dim = [(x0,) for x0 in axis], rule.weights, d - 1
-    slab_axes = [axis] * slab_dim
+        heads, head_weights, slab_dim = [(x0,) for x0 in rule.nodes], rule.weights, d - 1
+    slab_axes = [rule.nodes] * slab_dim
     grids = np.meshgrid(*slab_axes, indexing="ij", sparse=True)
     shape = (rule.order,) * slab_dim
     slab_weights = functools.reduce(np.multiply.outer, [rule.weights] * slab_dim)
@@ -204,9 +200,9 @@ def integrate(fn: Callable, rule: QuadratureRule1D, d: int, scale: float = 1.0):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused below, by name
             sums.append(head_weight * (vals * slab_weights).sum())
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.sum(sums) * norm
+        total = np.sum(sums)
     if not np.isfinite(total):
-        raise NumericContractError(f"weighted sum {total} is not finite at scale {scale}")
+        raise NumericContractError(f"weighted sum {total} is not finite")
     return total
 
 

@@ -408,16 +408,6 @@ class ExpansionReport:
     residual_norms: tuple
     fitted_slope: float | None
 
-    def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
-        residuals = tuple(float(r) for r in self.residual_norms)
-        if any(b <= a for a, b in zip(alphas, alphas[1:])):
-            raise ValueError("alphas must be strictly increasing")
-        if any(r < 0 for r in residuals):
-            raise ValueError("residual norms must be non-negative")
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "residual_norms", residuals)
-
 
 def expansion_check(g: GaussianSymbol, alphas: Sequence[float], grid: Sequence[PointLike]) -> ExpansionReport:
     """Check that the transform equals identity + Lap/(4*alpha) + O(alpha^-2).
@@ -429,7 +419,8 @@ def expansion_check(g: GaussianSymbol, alphas: Sequence[float], grid: Sequence[P
     alphas = [float(a) for a in alphas]
     if len(alphas) < 3:
         raise ValueError("need at least three alpha values to fit a slope")
-    ExpansionReport(alphas=tuple(alphas), residual_norms=(), fitted_slope=None)  # refuses alphas that do not increase
+    if any(b <= a for a, b in zip(alphas, alphas[1:])):
+        raise ValueError("alphas must be strictly increasing")
     points = [as_point(p, g.dim) for p in grid]
     if not points:
         raise ValueError("grid must contain at least one point")

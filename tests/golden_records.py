@@ -50,6 +50,8 @@ COMMANDS = {
     "sweep-taylor-remainder": _SWEEP + ["taylor_remainder", "--lambdas", "1", "--alphas", "logspace:1:3:5"],
     "sweep-expansion-residual": _SWEEP + ["expansion_residual", "--lambdas", "0.5,1", "--alphas", "logspace:1:3:5"],
     "sweep-empty-grid": _SWEEP + ["lambda_prime", "--alphas", "logspace:0:1:0"],
+    "sweep-malformed-grid": _SWEEP + ["lambda_prime", "--alphas", "logspace:0:1"],
+    "sweep-overflowing-grid": _SWEEP + ["lambda_prime", "--alphas", "logspace:0:400:3"],
     "version": ["--version"],
 }
 

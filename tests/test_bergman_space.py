@@ -8,7 +8,6 @@ from berezin import (
     ComplexPoint,
     GaussianSymbol,
     QuantParams,
-    TraceReport,
     berezin_transform_closed,
     berezin_transform_numeric,
     purity_index,
@@ -147,8 +146,4 @@ class TestPurity:
         refused = "raw trace = 5.2993e-319 is sub-normal at lambda=3.05884e-54, alpha=3.8568e-213, n=2"
         with pytest.raises(NumericContractError, match="^" + re.escape(refused) + "$"):
             purity_index(3.05884e-54, QuantParams(3.8568e-213), dim=2)
-
-    def test_report_invariant(self):
-        with pytest.raises(ValueError):
-            TraceReport(raw_trace=0.1, normalized_trace=1.5, alpha=1.0, lam=1.0, dim=1)
 

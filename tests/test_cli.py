@@ -158,6 +158,29 @@ class TestParsers:
         assert values[0] == pytest.approx(1.0)
         assert values[-1] == pytest.approx(1e6)
 
+    @pytest.mark.parametrize("text", ["logspace:0:1", "logspace:0:1:x", "1,,2", "logspace:0:1:2:3", "linspace:a:1:3"])
+    def test_parse_grid_quotes_malformed_text(self, text):
+        forms = "a comma list '0.5,1,2', 'logspace:a:b:num' or 'linspace:a:b:num'"
+        with pytest.raises(ValueError, match="^" + re.escape(f"grid {text!r} is not {forms}") + "$"):
+            parse_grid(text)
+
+    @pytest.mark.parametrize("text,chunk", [("a,b", "a,b"), ("1,2;x,3", "x,3"), ("1,2;", "")])
+    def test_parse_point_quotes_malformed_text(self, text, chunk):
+        named = f"point {text!r} is not of the form 're,im;re,im;...': coordinate {chunk!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(named) + "$"):
+            parse_point(text)
+
+    def test_overflowing_grid_is_refused_by_the_parameter_alone(self):
+        # 10^400 overflows to inf without a numpy warning, even when warnings
+        # are errors; the inf is refused as an alpha, a usage error
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "berezin",
+             "sweep", "--quantity", "lambda_prime", "--alphas", "logspace:0:400:3", "--out", os.devnull],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: alpha must be positive and finite, got inf\n"
+
 
 class TestTransformCommand:
     def test_reference_case(self, capsys):
@@ -300,6 +323,14 @@ class TestTransformCommand:
         assert code == 2
         assert out == ""
         assert "order" in err
+
+    def test_malformed_point_is_usage_error_naming_it(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "transform", "--lambda", "1", "--alpha", "1", "--numeric", "20", "--at", "a,b",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: point 'a,b' is not of the form 're,im;re,im;...': coordinate 'a,b'\n"
 
     def test_bad_flags_exit_two(self, capsys):
         code, out, err = run_cli(capsys, "transform", "--n", "1", "--lambda", "-1", "--alpha", "1")
@@ -553,6 +584,11 @@ class TestSweepCommand:
             ("--quantity", "lambda_prime", "--lambdas", "1,-1"),
             ("--quantity", "amplitude_prime", "--alphas", "1,0"),
             ("--quantity", "expansion_residual", "--alphas", "10,100"),
+            # malformed text, refused by `parse_grid`
+            ("--quantity", "lambda_prime", "--alphas", "logspace:0:1"),
+            ("--quantity", "lambda_prime", "--alphas", "logspace:0:1:x"),
+            ("--quantity", "lambda_prime", "--alphas", "1,,2"),
+            ("--quantity", "lambda_prime", "--alphas", "logspace:0:1:2:3"),
         ],
     )
     def test_bad_grid_exits_two_without_file(self, capsys, tmp_path, argv):

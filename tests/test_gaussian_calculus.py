@@ -26,7 +26,6 @@ from berezin import (
     gauss_hermite,
     gaussian_moment,
     heat_evolve,
-    integrate,
     purity_index,
     spectrum,
     taylor_remainder,
@@ -396,10 +395,6 @@ class TestIntegerParameters:
             build(bad)
 
 
-def _gaussian(x):
-    return np.exp(-x * x / 2.0)
-
-
 # every real parameter goes through gaussian_calculus._real: (valid value,
 # call returning what is stored or computed, name in the refusal, 0 allowed)
 REAL_PARAMETERS = {
@@ -410,7 +405,6 @@ REAL_PARAMETERS = {
     "GridSpec.half_width": (6.0, lambda x: GridSpec(x, 500).half_width, "half_width", False),
     "purity_index.lam": (0.5, lambda x: purity_index(x, QuantParams(1.0)).lam, "lambda", False),
     "gaussian_moment.a": (2.0, lambda x: gaussian_moment(2, x), "a", False),
-    "integrate.scale": (2.0, lambda x: float(integrate(_gaussian, gauss_hermite(8), 1, x)), "scale", False),
     "uncertainty_report.lam": (0.5, lambda x: uncertainty_report(x).lam, "lambda", False),
     "uncertainty_report.amplitude": (2.0, lambda x: uncertainty_report(1.0, x).amplitude, "K", False),
     "uncertainty_quadrature.lam": (0.5, lambda x: uncertainty_quadrature(x).lam, "lambda", False),

@@ -10,6 +10,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.hermite import hermval
 
 from berezin import (
@@ -178,12 +179,20 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(OscillatorSpec(), GRID, levels=11)
 
-    @pytest.mark.parametrize("half_width", [1e200, 1e-200])
+    @pytest.mark.parametrize("half_width", [1e200, 1e-160, 1e-200, 5e-324])
     def test_grid_beyond_the_double_range_is_named(self, half_width):
-        # the spacing squares to infinity, or to 0, in 2 / dx^2
-        named = f"half_width={half_width!r}, points=2000"
-        with pytest.raises(NumericContractError, match=re.escape(named)):
-            spectrum(OscillatorSpec(1, 1.0), GridSpec(half_width, 2000), 4)
+        # the spacing squares to infinity, to a sub-normal whose 2 / dx^2 overflows, or
+        # to 0 (at 5e-324 the spacing is 0 itself); at an even count the mirror row then
+        # sums inf and -inf
+        held = _unit_levels.cache_info().currsize
+        for points in (3, 4, 2000, 2001):
+            named = f"the difference operator is not finite at half_width={half_width!r}, points={points}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(NumericContractError, match="^" + re.escape(named) + "$"):
+                    spectrum(OscillatorSpec(1, 1.0), GridSpec(half_width, points), 3)
+            assert caught == []
+        assert _unit_levels.cache_info().currsize == held
 
     @pytest.mark.parametrize("half_width", [1e-80, 1e-150])
     def test_tiny_box_is_refused_and_not_kept(self, no_gap_bound, half_width):
@@ -461,13 +470,12 @@ class TestUncertainty:
         # a ratio below 1 is a failed check for the caller to report, not a malformed report
         report = UncertaintyReport(lam=1.0, amplitude=1.0, var_x=1.0, var_p=1.0, rhs=2.0, ratio=0.5, norm_sq=1.0)
         assert report.ratio == 0.5
-        with pytest.raises(ValueError, match="var_x must be non-negative and finite"):
-            UncertaintyReport(lam=1.0, amplitude=1.0, var_x=math.nan, var_p=1.0, rhs=2.0, ratio=0.5, norm_sq=1.0)
 
     @pytest.mark.parametrize(
         "compute,lam,amplitude,moment",
         [
             (uncertainty_report, 1e-300, 1.0, "var_x = inf"),  # r^(3/2) overflows
+            (uncertainty_quadrature, 1e-300, 1.0, "var_x = inf"),  # the weighted sum overflows
             (uncertainty_report, 1e-206, 1.0, "var_x = inf"),
             (uncertainty_report, 1.0, 1e160, "var_x = inf"),
             (uncertainty_quadrature, 1.0, 1e-90, "rhs = 0.0"),  # K^4 underflows
@@ -483,6 +491,20 @@ class TestUncertainty:
     def test_moment_beyond_double_range_raises(self, compute, lam, amplitude, moment):
         with pytest.raises(NumericContractError, match=re.escape(moment) + ".*lambda="):
             compute(lam, amplitude)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.floats(-300.0, 300.0), st.floats(-150.0, 150.0))
+    def test_every_draw_holds_or_is_refused_by_name(self, lam_exponent, amplitude_exponent):
+        # lambda = 10^U(-300, 300), K = 10^U(-150, 150): each route either keeps the
+        # equality to its tolerance or names both of the caller's parameters
+        lam, amplitude = 10.0**lam_exponent, 10.0**amplitude_exponent
+        for compute, tolerance in ((uncertainty_report, 1e-12), (uncertainty_quadrature, 1e-8)):
+            try:
+                report = compute(lam, amplitude)
+            except NumericContractError as exc:
+                assert "lambda=" in str(exc) and "K=" in str(exc)
+            else:
+                assert abs(report.ratio - 1.0) <= tolerance
 
     @pytest.mark.parametrize(
         "lam,amplitude",
