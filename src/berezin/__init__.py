@@ -46,7 +46,6 @@ _EXPORTS = {
         "QuadratureRule1D",
         "berezin_transform_numeric",
         "gauss_hermite",
-        "integrate",
         "monte_carlo_transform",
     ),
     "oscillator": (

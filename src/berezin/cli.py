@@ -52,6 +52,8 @@ EXIT_USAGE = 2
 EXIT_CONTRACT = 3
 EXIT_INTERNAL = 4
 
+MAX_GRID_ROWS = 100_000  # a sweep holds every row in memory before it writes the CSV
+
 
 @dataclass
 class RunRecord:
@@ -96,7 +98,10 @@ def parse_point(text: str) -> ComplexPoint:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse a comma list, 'logspace:a:b:num', or 'linspace:a:b:num'."""
+    """Parse a comma list, 'logspace:a:b:num', or 'linspace:a:b:num'.
+
+    A num above MAX_GRID_ROWS is refused before any value is made.
+    """
     try:
         if not text.startswith(("logspace:", "linspace:")):
             return [float(v) for v in text.split(",")]  # '' is one empty item, which float refuses
@@ -108,6 +113,8 @@ def parse_grid(text: str) -> list[float]:
         ) from None
     if count < 1:
         raise ValueError("grid needs at least one value")
+    if count > MAX_GRID_ROWS:
+        raise ValueError(f"grid {text!r} asks for {count} values, above the cap of {MAX_GRID_ROWS}")
     import numpy as np
 
     fn = np.logspace if kind == "logspace" else np.linspace
@@ -214,6 +221,9 @@ def _sweep_value(quantity: str, n: int, lam: float, alpha: float) -> float:
 def cmd_sweep(args) -> tuple[RunRecord, list]:
     lambdas = parse_grid(args.lambdas)
     alphas = parse_grid(args.alphas)
+    count = len(lambdas) * len(alphas)
+    if count > MAX_GRID_ROWS:
+        raise ValueError(f"--lambdas x --alphas gives {count} rows, above the cap of {MAX_GRID_ROWS}")
     # the library validates every grid value; rows are complete before the CSV opens
     results: dict = {}
     rows: list[list] = []

@@ -20,8 +20,8 @@ w_j = z_j + (s_j + i*t_j)/sqrt(alpha) turns that kernel into the
 Gauss-Hermite weight exp(-|s|^2 - |t|^2), so the rule sits where the
 integrand lives for every z and alpha.  A GaussianSymbol depends only on
 Re w, so its sum factors into 2n one-dimensional sums of m terms at any n;
-a generic callable is summed on the centred tensor grid by `integrate`,
-which limits it to n <= 2.  At z = 0 the kernel is the weight rho itself,
+a generic callable is summed on the centred tensor grid, n <= 2 only, in
+slabs of at most m^3 values.  At z = 0 the kernel is the weight rho itself,
 so the transform there is the trace Tr(f).  The oracle never consults the
 closed-form width map.  A seeded Monte-Carlo estimator samples the same
 centred Gaussian and provides a second, statistically independent route for
@@ -50,12 +50,10 @@ __all__ = [
     "QuadratureRule1D",
     "berezin_transform_numeric",
     "gauss_hermite",
-    "integrate",
     "monte_carlo_transform",
 ]
 
 MAX_RULE_ORDER = 360
-MAX_TENSOR_DIM = 4
 MIN_EFFECTIVE_SAMPLES = 100  # a symbol's Monte-Carlo estimate must rest on at least this many
 
 
@@ -66,20 +64,6 @@ class QuadratureRule1D:
     nodes: np.ndarray
     weights: np.ndarray
     order: int
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if nodes.shape != (self.order,) or weights.shape != (self.order,):
-            raise ValueError("nodes/weights must both have length equal to the order")
-        if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights)):
-            raise ValueError("non-finite rule data")
-        if np.any(weights <= 0.0):
-            raise ValueError("weights must be positive")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -161,49 +145,9 @@ def _build_rule(order: int) -> QuadratureRule1D:
     mirrored = slice(order % 2, None)  # the node 0 is not mirrored
     nodes = np.concatenate((-nodes[mirrored][::-1], nodes))
     weights = np.concatenate((weights[mirrored][::-1], weights))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return QuadratureRule1D(nodes, weights, order)
-
-
-def _check_finite(vals: np.ndarray, axes, head: tuple) -> None:
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        idx = np.unravel_index(int(np.flatnonzero(bad.ravel())[0]), vals.shape)
-        node = tuple(float(x) for x in head) + tuple(float(axis[i]) for axis, i in zip(axes, idx))
-        raise NumericContractError(f"integrand is non-finite at node {node}")
-
-
-def integrate(fn: Callable, rule: QuadratureRule1D, d: int):
-    """Tensor quadrature of  int fn(x) * exp(-|x|^2) dx  on R^d.
-
-    The one rule sits on every one of the d axes.  `fn` must accept d
-    broadcastable coordinate arrays and evaluate vectorized; d <= 4.
-    Non-finite integrand values raise, naming the node, and a weighted sum
-    beyond the double range raises, naming it.  One loop evaluates,
-    checks and sums slabs: a d <= 2 grid is one slab of weight 1, a d in
-    {3, 4} grid one slab per node of its first axis (with that node's
-    weight), which bounds memory to m^(d-1) values.  Slabs and their total
-    are summed by numpy's fixed-order pairwise reduction.
-    """
-    d = _integer("d", d, 1, MAX_TENSOR_DIM)
-    if d <= 2:
-        heads, head_weights, slab_dim = [()], [1.0], d
-    else:
-        heads, head_weights, slab_dim = [(x0,) for x0 in rule.nodes], rule.weights, d - 1
-    slab_axes = [rule.nodes] * slab_dim
-    grids = np.meshgrid(*slab_axes, indexing="ij", sparse=True)
-    shape = (rule.order,) * slab_dim
-    slab_weights = functools.reduce(np.multiply.outer, [rule.weights] * slab_dim)
-    sums = []
-    for head, head_weight in zip(heads, head_weights):
-        vals = np.broadcast_to(np.asarray(fn(*head, *grids)), shape)
-        _check_finite(vals, slab_axes, head)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused below, by name
-            sums.append(head_weight * (vals * slab_weights).sum())
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.sum(sums)
-    if not np.isfinite(total):
-        raise NumericContractError(f"weighted sum {total} is not finite")
-    return total
 
 
 def berezin_transform_numeric(
@@ -222,11 +166,16 @@ def berezin_transform_numeric(
     2n sums of m terms, at any n; a square beyond the double range is capped
     at the largest double, so lam = 0 gives exp(-0) = 1 and an overflowing
     exponent a zero term.  A generic callable f receives n complex
-    coordinate arrays, must evaluate vectorized, and is summed on the centred
-    m^(2n) tensor grid; only callables are limited to n <= 2.  The order
-    sets the accuracy: at lam/alpha = 4 (alpha = 0.5, z = 0, n = 1) an
-    order-40 rule misses the closed form by 1.5e-7 relative, an order-80
-    rule by 1.2e-14.
+    coordinate arrays w_j = z_j + (s_j + i*t_j)/sqrt(alpha), must evaluate
+    vectorized, and is summed on the centred m^(2n) tensor grid of the real
+    axes (s_1..s_n, t_1..t_n); only callables are limited to n <= 2.  At
+    n = 1 the grid is one m^2 sum; at n = 2 it is one m^3 slab per node of
+    s_1, scaled by that node's weight, so memory stays bounded by m^3
+    values.  A non-finite value of f raises, naming the first w where it
+    failed, z, alpha and the order; so does a weighted sum beyond the double
+    range.  The order sets the accuracy: at lam/alpha = 4 (alpha = 0.5,
+    z = 0, n = 1) an order-40 rule misses the closed form by 1.5e-7
+    relative, an order-80 rule by 1.2e-14.
     """
     point = as_point(z, f.dim if isinstance(f, GaussianSymbol) else None)
     n = point.dim
@@ -245,11 +194,29 @@ def berezin_transform_numeric(
 
     if n > 2:
         raise ValueError(f"numeric transform of a callable supports n <= 2, got n = {n}")
-
-    def centred(*st):
-        return f(*(c + spread * (s + 1j * t) for c, s, t in zip(point.coords, st[:n], st[n:])))
-
-    return complex(integrate(centred, rule, 2 * n) / math.pi**n)
+    # the real axes are (s_1..s_n, t_1..t_n); at n = 2 each node of s_1 heads one m^3 slab
+    heads, head_weights = ([()], [1.0]) if n == 1 else ([(s,) for s in rule.nodes], rule.weights)
+    slab_dim = 2 * n - len(heads[0])
+    grids = np.meshgrid(*[rule.nodes] * slab_dim, indexing="ij", sparse=True)
+    slab_weights = functools.reduce(np.multiply.outer, [rule.weights] * slab_dim)
+    at = f"z={point.coords}, alpha={q.alpha!r}, order={rule.order}"
+    sums = []
+    for head, head_weight in zip(heads, head_weights):
+        st = (*head, *grids)
+        w = [c + spread * (s + 1j * t) for c, s, t in zip(point.coords, st[:n], st[n:])]
+        vals = np.broadcast_to(np.asarray(f(*w)), slab_weights.shape)
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            first = np.unravel_index(np.argmax(bad), vals.shape)
+            where = tuple(complex(np.broadcast_to(wj, vals.shape)[first]) for wj in w)
+            raise NumericContractError(f"f is not finite at w={where} ({at})")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused below, by name
+            sums.append(head_weight * (vals * slab_weights).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(sums)
+    if not np.isfinite(total):
+        raise NumericContractError(f"the weighted sum {total} is not finite at {at}")
+    return complex(total / math.pi**n)
 
 
 def monte_carlo_transform(

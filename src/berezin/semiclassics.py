@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product, repeat
 from operator import add, floordiv, index, mod, mul, sub
@@ -75,6 +76,8 @@ __all__ = [
 
 # kappa: bracket normalization making the first-order condition an identity
 BRACKET_NORMALIZATION = 2.0 * math.pi / 1j
+# below this sup-grid first-order remainder, its relative error passes about 1e-6
+REMAINDER_FLOOR = 1e6 * sys.float_info.epsilon
 
 
 def _validate_index(entries, dim: int) -> tuple:
@@ -415,6 +418,12 @@ def expansion_check(g: GaussianSymbol, alphas: Sequence[float], grid: Sequence[P
     The residual at alpha is A * alpha * (sup-grid `taylor_remainder`).  Needs
     at least three strictly increasing alphas; the fitted log-log slope of the
     residuals is -1 for compressions lam > 0.
+
+    The remainder is a difference of two numbers of size about 1, so below
+    REMAINDER_FLOOR = 1e6 * eps its relative error passes about 1e-6.  For
+    lam > 0, a supremum below that floor at some alpha raises
+    NumericContractError naming lambda and alpha; lam = 0 keeps its exact
+    zeros and no slope.
     """
     alphas = [float(a) for a in alphas]
     if len(alphas) < 3:
@@ -424,9 +433,14 @@ def expansion_check(g: GaussianSymbol, alphas: Sequence[float], grid: Sequence[P
     points = [as_point(p, g.dim) for p in grid]
     if not points:
         raise ValueError("grid must contain at least one point")
-    residuals = [
-        g.amplitude * a * max(taylor_remainder(g, QuantParams(a), point) for point in points) for a in alphas
-    ]
+    residuals = []
+    for a in alphas:
+        remainder = max(taylor_remainder(g, QuantParams(a), point) for point in points)
+        if g.compression > 0.0 and remainder < REMAINDER_FLOOR:
+            raise NumericContractError(
+                f"the first-order remainder {remainder!r} is lost to round-off at lambda={g.compression!r}, alpha={a!r}"
+            )
+        residuals.append(g.amplitude * a * remainder)
     slope = None
     if all(r > 0.0 for r in residuals):
         slope = float(np.polyfit(np.log(alphas), np.log(residuals), 1)[0])

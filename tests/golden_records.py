@@ -52,6 +52,8 @@ COMMANDS = {
     "sweep-empty-grid": _SWEEP + ["lambda_prime", "--alphas", "logspace:0:1:0"],
     "sweep-malformed-grid": _SWEEP + ["lambda_prime", "--alphas", "logspace:0:1"],
     "sweep-overflowing-grid": _SWEEP + ["lambda_prime", "--alphas", "logspace:0:400:3"],
+    "sweep-expansion-lost": _SWEEP + ["expansion_residual", "--alphas", "10,100,1e308"],
+    "sweep-oversized-grid": _SWEEP + ["lambda_prime", "--alphas", "linspace:1:2:100000000"],
     "version": ["--version"],
 }
 

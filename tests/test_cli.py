@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -618,6 +619,43 @@ class TestSweepCommand:
         assert code == 3
         assert out == ""
         assert "normalized trace underflows to 0 at lambda=1e+308, alpha=1e-15, n=1" in err
+
+    def test_expansion_lost_to_round_off_exits_three(self, capsys, tmp_path):
+        # at alpha = 1e308 the first-order remainder cancels to 0, which is not a residual
+        out_path = tmp_path / "expansion.csv"
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--quantity", "expansion_residual", "--alphas", "10,100,1e308", "--out", str(out_path),
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: the first-order remainder 0.0 is lost to round-off at lambda=1.0, alpha=1e+308\n"
+        assert not out_path.exists()
+
+    def test_oversized_grid_is_refused_before_it_is_made(self, capsys, tmp_path):
+        out_path = tmp_path / "huge.csv"
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "sweep", "--quantity", "lambda_prime", "--alphas", "linspace:0:1:100000000",
+                "--out", str(out_path),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == "error: grid 'linspace:0:1:100000000' asks for 100000000 values, above the cap of 100000\n"
+        assert peak < 1e6
+        assert not out_path.exists()
+
+    def test_oversized_product_is_refused_by_row_count(self, capsys, tmp_path):
+        out_path = tmp_path / "product.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--quantity", "lambda_prime", "--lambdas", "linspace:0.1:1:400",
+            "--alphas", "linspace:1:2:400", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --lambdas x --alphas gives 160000 rows, above the cap of 100000\n"
+        assert not out_path.exists()
 
     def test_single_flag_takes_a_grid(self, capsys, tmp_path):
         path = tmp_path / "width.csv"

@@ -1,4 +1,4 @@
-"""Quadrature oracle: rule construction, tensor integration, transform, MC."""
+"""Quadrature oracle: rule construction, the callable and symbol transforms, MC."""
 
 import functools
 import math
@@ -20,7 +20,6 @@ from berezin import (
     evaluate,
     gauss_hermite,
     gaussian_moment,
-    integrate,
     monte_carlo_transform,
     trace_numeric,
 )
@@ -135,78 +134,98 @@ class TestGaussHermite:
             rule.nodes[0] = 1.0
 
 
-class TestIntegrate:
+def _at_origin(f, n=1, alpha=1.0, order=10):
+    """The callable transform of f at the origin of C^n, where w_j = (s_j + i*t_j)/sqrt(alpha)."""
+    return berezin_transform_numeric(f, (0j,) * n, QuantParams(alpha), order=order)
+
+
+class TestCallableTransform:
+    """The callable branch sums f on its own centred grid of the real axes (s_1..s_n, t_1..t_n)."""
+
     def test_constant(self):
-        assert integrate(lambda x: np.ones_like(x), gauss_hermite(10), 1) == pytest.approx(SQRT_PI, rel=1e-14)
+        assert _at_origin(lambda w: np.ones_like(w.real)).real == pytest.approx(1.0, rel=1e-14)
 
     def test_second_moment(self):
-        value = integrate(lambda x: x * x, gauss_hermite(10), 1)
-        assert value == pytest.approx(SQRT_PI / 2, rel=1e-14)
+        # (Re w)^2 = s^2 / alpha, so the transform is (sqrt(pi)/2 * sqrt(pi)) / (pi * alpha)
+        value = _at_origin(lambda w: w.real * w.real, alpha=2.0)
+        assert value.real == pytest.approx(0.25, rel=1e-14)
 
-    def test_two_dim_product(self):
-        value = integrate(lambda x, y: x * x * y * y, gauss_hermite(12), 2)
-        assert value == pytest.approx(math.pi / 4, rel=1e-13)
-
-    def test_overflowing_weighted_sum_refused(self):
-        # every value is finite, their weighted sum (pi * 1e308 on the plane) is not; no warning
-        with pytest.raises(NumericContractError, match=re.escape("weighted sum inf is not finite")):
-            integrate(lambda x, y: np.full_like(x + y, 1e308), gauss_hermite(20), 2)
-
-    def test_overflowing_slab_sums_refused(self):
-        # d = 3 sums one slab per node of the first axis; their total overflows
-        def huge(x, y, z):
-            return np.full(np.broadcast_shapes(x.shape, y.shape, z.shape), 1e308)
-
-        with pytest.raises(NumericContractError, match=re.escape("is not finite")):
-            integrate(huge, gauss_hermite(6), 3)
+    def test_two_axis_product(self):
+        value = _at_origin(lambda w: w.real**2 * w.imag**2, order=12)
+        assert value.real == pytest.approx(0.25, rel=1e-13)
 
     def test_separable_equals_product(self):
-        rule = gauss_hermite(16)
-        tensor = integrate(lambda x, y: x**2 * y**4, rule, 2)
-        product = integrate(lambda x: x**2, rule, 1) * integrate(lambda y: y**4, rule, 1)
+        tensor = _at_origin(lambda w1, w2: w1.real**2 * w2.imag**4, n=2, order=16)
+        product = _at_origin(lambda w: w.real**2, order=16) * _at_origin(lambda w: w.imag**4, order=16)
         assert tensor == pytest.approx(product, rel=1e-12)
 
-    def test_four_dim_chunked(self):
-        value = integrate(lambda a, b, c, d: a * a * np.ones_like(b + c + d), gauss_hermite(8), 4)
-        assert value == pytest.approx(SQRT_PI**3 * SQRT_PI / 2, rel=1e-12)
+    def test_two_dim_slabs_bound_memory(self):
+        assert _at_origin(lambda w1, w2: w1.real**2 * np.ones_like(w2.real), n=2, order=8).real == pytest.approx(
+            0.5, rel=1e-12
+        )
         # the m^4 grid is summed in m^3 slabs, never held whole: one complex
         # value per node of the whole grid would take 41 MB at m = 40
-        rule = gauss_hermite(40)
+        gauss_hermite(40)  # a kept rule, built outside the traced region
         tracemalloc.start()
         try:
-            value = integrate(lambda a, b, c, d: np.exp(1j * (a + b + c + d)), rule, 4)
+            value = _at_origin(lambda w1, w2: np.exp(1j * (w1.real + w1.imag + w2.real + w2.imag)), n=2, order=40)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 32e6
-        assert value == pytest.approx((SQRT_PI * math.exp(-0.25)) ** 4, rel=1e-12)
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError, match=re.escape("d must be an integer in [1, 4], got 5")):
-            integrate(lambda *a: 1.0, gauss_hermite(2), 5)
-
-    @pytest.mark.parametrize("d", [0, 2.0, True, "2"], ids=repr)
-    def test_dimension_validated(self, d):
-        with pytest.raises(ValueError, match=re.escape(f"d must be an integer in [1, 4], got {d!r}")):
-            integrate(lambda *a: 1.0, gauss_hermite(2), d)
-
-    def test_non_finite_names_node(self):
-        def bad(x):
-            with np.errstate(divide="ignore"):
-                return np.asarray(1.0 / x)
-
-        with pytest.raises(ValueError, match="non-finite at node"):
-            integrate(bad, gauss_hermite(3), 1)  # odd order has a node at 0
+        assert value == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_complex_integrand(self):
-        value = integrate(lambda x: np.exp(1j * x), gauss_hermite(30), 1)
-        assert complex(value) == pytest.approx(SQRT_PI * math.exp(-0.25), rel=1e-13)
+        value = _at_origin(lambda w: np.exp(1j * w.real), order=30)
+        assert value == pytest.approx(math.exp(-0.25), rel=1e-13)
 
     def test_complex_slab_sums(self):
-        # d = 3 sums complex slabs and their total: both parts survive the reduction
-        value = integrate(lambda x, y, z: np.exp(1j * (x + y + z)), gauss_hermite(30), 3)
+        # n = 2 sums complex slabs and their total: both parts survive the reduction
+        value = _at_origin(lambda w1, w2: np.exp(1j * (w1.real + w1.imag + w2.real)), n=2, order=30)
         assert isinstance(value, complex)
-        assert value == pytest.approx((SQRT_PI * math.exp(-0.25)) ** 3, rel=1e-13)
+        assert value == pytest.approx(math.exp(-0.75), rel=1e-13)
+
+    def test_overflowing_weighted_sum_refused(self):
+        # every value is finite, their weighted sum (1e308 on the plane) is not; no warning
+        message = "the weighted sum inf is not finite at z=(0j,), alpha=1.0, order=20"
+        with pytest.raises(NumericContractError, match=re.escape(message)):
+            _at_origin(lambda w: np.full_like(w.real, 1e308), order=20)
+
+    def test_overflowing_slab_sums_refused(self):
+        # n = 2 sums one finite slab per node of s_1; their total overflows
+        def huge(w1, w2):
+            return np.full(np.broadcast_shapes(w1.shape, w2.shape), 1e308 / 5)
+
+        message = "the weighted sum inf is not finite at z=(0j, 0j), alpha=1.0, order=6"
+        with pytest.raises(NumericContractError, match=re.escape(message)):
+            _at_origin(huge, n=2, order=6)
+
+    def test_pole_names_the_point(self):
+        def pole(w):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return 1.0 / (w - 0.3)
+
+        # an odd order has the node 0, so one w sits on the pole at z
+        message = "f is not finite at w=((0.3+0j),) (z=((0.3+0j),), alpha=2.0, order=5)"
+        with pytest.raises(NumericContractError, match=re.escape(message)):
+            berezin_transform_numeric(pole, 0.3 + 0j, QuantParams(2.0), order=5)
+
+    @pytest.mark.parametrize(
+        "f,n",
+        [
+            (lambda w: np.where(w.real > 0.5, np.inf, 1.0), 1),
+            (lambda w1, w2: np.where(w2.imag < -0.5, np.nan, w1.real), 2),
+            (lambda w: np.full_like(w.real, 1e308), 1),
+            (lambda w1, w2: np.full(np.broadcast_shapes(w1.shape, w2.shape), 1e308), 2),
+        ],
+        ids=["inf-n1", "nan-n2", "overflow-n1", "overflow-n2"],
+    )
+    def test_refusals_name_the_caller_parameters(self, f, n):
+        with pytest.raises(NumericContractError) as refused:
+            berezin_transform_numeric(f, (0.1 - 0.2j,) * n, QuantParams(3.0), order=7)
+        message = str(refused.value)
+        assert "w=" in message or "z=" in message
+        assert "alpha=3.0" in message and "order=7" in message
 
     @pytest.mark.parametrize(
         "exponents,z,alpha,order,tol",
@@ -222,32 +241,30 @@ class TestIntegrate:
         ids=["1", "z", "z^2", "z^4", "z1*z2", "z1^2", "z2"],
     )
     def test_bergman_kernel_reproduces_holomorphic_monomials(self, exponents, z, alpha, order, tol):
-        # (alpha/pi)^n int w^k exp(alpha <z, w>) exp(-alpha |w|^2) dA(w) = z^k, summed
-        # over the 2n real axes of u = sqrt(alpha) * w, as the callable transform sums
-        n = len(z)
-        spread = 1.0 / math.sqrt(alpha)
-
-        def integrand(*xy):
-            w = [spread * (x + 1j * y) for x, y in zip(xy[:n], xy[n:])]
+        # (alpha/pi)^n int w^k exp(alpha <z, w>) exp(-alpha |w|^2) dA(w) = z^k: the
+        # transform at 0 of w -> w^k exp(alpha z . conj(w))
+        def integrand(*w):
             phase = sum(alpha * zj * np.conj(wj) for zj, wj in zip(z, w))
             return math.prod(wj**k for wj, k in zip(w, exponents)) * np.exp(phase)
 
-        value = integrate(integrand, gauss_hermite(order), 2 * n) / math.pi**n
+        value = _at_origin(integrand, n=len(z), alpha=alpha, order=order)
         assert abs(value - math.prod(zj**k for zj, k in zip(z, exponents))) < tol
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_sum_matches_fsum(self, d):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_sum_matches_fsum(self, n):
         # a signed, oscillating integrand: the weighted sum is within O(eps log n)
         # of the correctly rounded sum of the same terms, relative to their magnitude
-        def wiggle(*xs):
-            return np.cos(sum((7.0 + 3.0 * i) * x + x * x for i, x in enumerate(xs)))
+        def wiggle(*axes):
+            return np.cos(sum((7.0 + 3.0 * i) * x + x * x for i, x in enumerate(axes)))
 
-        rule = gauss_hermite(9 + d)
-        grids = np.meshgrid(*[rule.nodes] * d, indexing="ij")
-        weights = functools.reduce(np.multiply.outer, [rule.weights] * d)
+        rule = gauss_hermite(9 + 2 * n)
+        grids = np.meshgrid(*[rule.nodes] * (2 * n), indexing="ij")
+        weights = functools.reduce(np.multiply.outer, [rule.weights] * (2 * n))
         terms = (weights * wiggle(*grids)).ravel()
         exact = math.fsum(terms)
-        assert abs(integrate(wiggle, rule, d) - exact) <= 1e-14 * math.fsum(np.abs(terms))
+        # at the origin with alpha = 1, Re w_j = s_j and Im w_j = t_j exactly
+        value = _at_origin(lambda *w: wiggle(*(wj.real for wj in w), *(wj.imag for wj in w)), n=n, order=9 + 2 * n)
+        assert abs(value * math.pi**n - exact) <= 1e-14 * math.fsum(np.abs(terms))
 
 
 class TestTransformNumeric:

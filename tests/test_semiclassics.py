@@ -523,3 +523,27 @@ class TestExpansionCheck:
     def test_needs_points(self):
         with pytest.raises(ValueError, match="at least one point"):
             expansion_check(GaussianSymbol(1, 1.0, 1.0), (10.0, 100.0, 1000.0), ())
+
+    @pytest.mark.parametrize(
+        "lam,alphas,alpha",
+        [
+            (1.0, (10.0, 100.0, 1e308), "1e+308"),  # the remainder cancels to 0
+            (1.0, (10.0, 1e3, 1e5), "100000.0"),
+            (1e-3, (10.0, 100.0, 1000.0), "100.0"),  # its remainder, 3.7e-11, is round-off
+        ],
+    )
+    def test_remainder_lost_to_round_off_is_refused(self, lam, alphas, alpha):
+        with pytest.raises(NumericContractError, match=re.escape(f"round-off at lambda={lam!r}, alpha={alpha}")):
+            expansion_check(GaussianSymbol(1, 1.0, lam), alphas, (0j, 0.3 + 0j, 0.7 + 0j))
+
+    def test_floor_is_set_on_the_supremum(self):
+        # at lam = 1 the alpha^-2 coefficient vanishes near x = 0.524, so one
+        # point's remainder is far below the floor while the supremum is not
+        from berezin import taylor_remainder
+
+        q = QuantParams(1000.0)
+        g = GaussianSymbol(1, 1.0, 1.0)
+        near_zero = min(taylor_remainder(g, q, x + 0j) for x in np.linspace(0.52, 0.53, 101))
+        assert near_zero < semiclassics.REMAINDER_FLOOR
+        report = expansion_check(g, (10.0, 100.0, 1000.0), (0j, 0.3 + 0j, 0.7 + 0j, 0.524 + 0j))
+        assert all(r > 0.0 for r in report.residual_norms)
